@@ -22,7 +22,8 @@ from .errors import (
 )
 from .gaussian import GaussianSpec, RngSeed, conditional, factorize, sample
 from .geometry import Corner, Frontier, Increment, UnionSet, canonicalize, frontier, min_closure, semilattice
-from .kernel import KernelParams, TransitionParams, cov_dirac, cov_stationary, mean_dirac, transition_density, transition_params
+from .kernel import (KernelParams, TransitionParams, cov_dirac, cov_matrix, cov_stationary, mean_dirac, mean_vector,
+                     transition_density, transition_params)
 from .measures import MeasureSpec, measure_diff, measure_rect, measure_symdiff, measure_union
 from .sheet import (
     GridSpec,
@@ -67,6 +68,8 @@ __all__ = [
     "measure_diff",
     "KernelParams",
     "TransitionParams",
+    "cov_matrix",
+    "mean_vector",
     "cov_stationary",
     "cov_dirac",
     "mean_dirac",

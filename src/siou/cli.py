@@ -138,14 +138,11 @@ def _cmd_kernel(args) -> int:
     params, dim = _kernel_params_from(cfg, args)
     op = cfg.get("op")
     results: list[dict]
-    if op == "cov_stationary":
+    if op in ("cov_stationary", "cov_dirac"):
         with _config_phase():
             u, v = _corner(cfg["u"], dim), _corner(cfg["v"], dim)
-        results = [{"op": op, "u": u.to_json(), "v": v.to_json(), "value": cov_stationary(params, u, v)}]
-    elif op == "cov_dirac":
-        with _config_phase():
-            u, v = _corner(cfg["u"], dim), _corner(cfg["v"], dim)
-        results = [{"op": op, "u": u.to_json(), "v": v.to_json(), "value": cov_dirac(params, u, v)}]
+        cov = cov_stationary if op == "cov_stationary" else cov_dirac
+        results = [{"op": op, "u": u.to_json(), "v": v.to_json(), "value": cov(params, u, v)}]
     elif op == "mean_dirac":
         with _config_phase():
             u = _corner(cfg["u"], dim)
@@ -184,10 +181,7 @@ def _cmd_sample(args) -> int:
         writer.writerow(labels)
         for row in path.values:
             writer.writerow([_fmt(v) for v in row])
-    transitions = [
-        {"index": step.index, **transition_params(params, step.increment).to_json()}
-        for step in pl.steps
-    ]
+    transitions = [{"index": step.index, **tp.to_json()} for step, tp in zip(pl.steps, path.transitions)]
     resolved = {
         **cfg,
         "kernel": params.to_json(),

@@ -18,6 +18,11 @@ of an increment [0, a] minus B, the value at a is Gaussian with
     mean = sum_i eps_i * exp(-lambda (m(a) - m(F_i))) * x_i,
     var  = sigma^2 / (2 lambda) * (1 - sum_i eps_i * exp(-2 lambda (m(a) - m(F_i)))).
 
+Both are the case v0 = s = sigma^2 / (2 lambda), resp. v0 = 0, of the field
+started from an origin value of variance v0, whose covariance is
+s exp(-lambda m(U sym-diff V)) + (v0 - s) exp(-lambda (m(U) + m(V))).
+:func:`cov_matrix` and :func:`mean_vector` evaluate it over corner lists.
+
 The classical one-parameter OU kernel is the one-dimensional Lebesgue case
 with m(a) - m(F) the elapsed time. Exponents are always of the gap
 m(a) - m(F_i) >= 0, never of the raw measures, so nothing overflows for
@@ -29,9 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateKernelError, InvalidGeometryError, KernelInconsistencyError
 from .geometry import Corner, Increment, frontier
-from .measures import MeasureSpec, measure_rect, measure_symdiff
+from .measures import MeasureSpec, measure_rect, measure_rows, measure_symdiffs
 
 # A computed transition variance below this is a broken formula, not roundoff.
 VARIANCE_FLOOR = -1e-10
@@ -39,6 +46,8 @@ VARIANCE_FLOOR = -1e-10
 __all__ = [
     "KernelParams",
     "TransitionParams",
+    "cov_matrix",
+    "mean_vector",
     "cov_stationary",
     "mean_dirac",
     "cov_dirac",
@@ -97,22 +106,40 @@ class TransitionParams:
         }
 
 
+def cov_matrix(params: KernelParams, A, B=None, v0: float | None = None) -> np.ndarray:
+    """Covariance matrix between the corners in A and in B (Corner lists or coordinate rows).
+
+    B defaults to A. ``v0`` is the origin variance: None for the stationary
+    field, 0 for a point start (s (sym - both) + v0 both then is s (sym - both)).
+    """
+    B = A if B is None else B
+    s = params.stationary_variance
+    sym = np.exp(-params.lam * measure_symdiffs(params.measure, A, B))
+    if v0 is None:
+        return s * sym
+    m = params.measure
+    both = np.exp(-params.lam * (measure_rows(m, A)[:, None] + measure_rows(m, B)[None, :]))
+    return s * (sym - both) + v0 * both
+
+
+def mean_vector(params: KernelParams, A, mu0: float) -> np.ndarray:
+    """Means mu0 * exp(-lambda m(U)) of the field at the corners in A, started from mean mu0."""
+    return mu0 * np.exp(-params.lam * measure_rows(params.measure, A))
+
+
 def cov_stationary(params: KernelParams, u: Corner, v: Corner) -> float:
     """Stationary covariance of X_U and X_V."""
-    return params.stationary_variance * math.exp(-params.lam * measure_symdiff(params.measure, u, v))
+    return float(cov_matrix(params, [u], [v])[0, 0])
 
 
 def mean_dirac(params: KernelParams, x0: float, u: Corner) -> float:
     """Mean of X_U when started from the point x0 at the origin rectangle."""
-    return x0 * math.exp(-params.lam * measure_rect(params.measure, u))
+    return float(mean_vector(params, [u], x0)[0])
 
 
 def cov_dirac(params: KernelParams, u: Corner, v: Corner) -> float:
     """Covariance of X_U and X_V when started from a point at the origin rectangle."""
-    m = params.measure
-    sym = math.exp(-params.lam * measure_symdiff(m, u, v))
-    both = math.exp(-params.lam * (measure_rect(m, u) + measure_rect(m, v)))
-    return params.stationary_variance * (sym - both)
+    return float(cov_matrix(params, [u], [v], v0=0.0)[0, 0])
 
 
 def transition_params(params: KernelParams, inc: Increment) -> TransitionParams:

@@ -6,10 +6,13 @@ charges only the coordinate axes, giving [0, t] mass sum_i alpha_i t_i; it
 grows linearly where the Lebesgue measure degenerates near the axes.
 Unions are measured by exact inclusion-exclusion over subset minima, and
 set differences by subtraction, so everything stays exact at desk scale.
+The array forms :func:`measure_rows` and :func:`measure_symdiffs` feed the
+covariance-matrix builder.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +24,8 @@ from .geometry import Corner, UnionSet, canonicalize, subset_meet_table
 # anything below this is a real inconsistency, anything above clamps to 0.
 NEGATIVE_RESIDUE_FLOOR = -1e-9
 
-__all__ = ["MeasureSpec", "measure_rect", "measure_union", "measure_symdiff", "measure_diff"]
+__all__ = ["MeasureSpec", "measure_rect", "measure_rows", "measure_union", "measure_symdiff",
+           "measure_symdiffs", "measure_diff"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,19 @@ def measure_rect(spec: MeasureSpec, t: Corner) -> float:
     return float(sum(a * c for a, c in zip(spec.alpha, t.coords)))
 
 
+def measure_rows(spec: MeasureSpec, rows) -> np.ndarray:
+    """Measures of [0, t] for the corners t in a list, or in an array's rows (any leading shape).
+
+    Combines one axis at a time in :func:`measure_rect`'s order, not through
+    a BLAS product, so every entry equals it bit for bit.
+    """
+    rows = _as_rows(rows)
+    spec.check_dim(rows.shape[-1])
+    if spec.kind == "lebesgue":
+        return functools.reduce(np.multiply, [rows[..., i] for i in range(rows.shape[-1])])
+    return functools.reduce(np.add, [a * rows[..., i] for i, a in enumerate(spec.alpha)])
+
+
 def measure_union(spec: MeasureSpec, u: UnionSet) -> float:
     """Measure of a union of rectangles by exact inclusion-exclusion.
 
@@ -90,18 +107,24 @@ def measure_union(spec: MeasureSpec, u: UnionSet) -> float:
     if not u.corners:
         return 0.0
     spec.check_dim(u.dim)
-    meets, signs = subset_meet_table(np.array([c.coords for c in u.corners]))
-    if spec.kind == "lebesgue":
-        vals = meets.prod(axis=1)
-    else:
-        vals = meets @ np.asarray(spec.alpha)
-    total = float(signs @ vals)
-    return _clamp_residue(total, "union measure")
+    meets, signs = subset_meet_table(_as_rows(u.corners))
+    total = float(signs @ measure_rows(spec, meets))
+    return float(_clamp_residue(total, "union measure"))
 
 
 def measure_symdiff(spec: MeasureSpec, u: Corner, v: Corner) -> float:
     """Measure of the symmetric difference of [0, u] and [0, v]."""
     total = measure_rect(spec, u) + measure_rect(spec, v) - 2.0 * measure_rect(spec, u.meet(v))
+    return float(_clamp_residue(total, "symmetric difference"))
+
+
+def measure_symdiffs(spec: MeasureSpec, a, b) -> np.ndarray:
+    """Matrix of :func:`measure_symdiff` between the corners in ``a`` and in ``b``, meets broadcast."""
+    a, b = _as_rows(a), _as_rows(b)
+    if a.shape[-1] != b.shape[-1]:
+        raise InvalidGeometryError(f"mixed dimensions {a.shape[-1]} and {b.shape[-1]}; the dimension is fixed per session")
+    meets = np.minimum(a[:, None, :], b[None, :, :])
+    total = measure_rows(spec, a)[:, None] + measure_rows(spec, b)[None, :] - 2.0 * measure_rows(spec, meets)
     return _clamp_residue(total, "symmetric difference")
 
 
@@ -109,12 +132,19 @@ def measure_diff(spec: MeasureSpec, a: Corner, b: UnionSet) -> float:
     """Measure of the increment [0, a] minus the union b."""
     clipped = canonicalize([c.meet(a) for c in b.corners])
     total = measure_rect(spec, a) - measure_union(spec, clipped)
-    return _clamp_residue(total, "increment measure")
+    return float(_clamp_residue(total, "increment measure"))
 
 
-def _clamp_residue(value: float, what: str) -> float:
-    if value >= 0.0:
-        return value
-    if value >= NEGATIVE_RESIDUE_FLOOR:
-        return 0.0
-    raise InternalConsistencyError(f"{what} came out {value}, far below zero")
+def _as_rows(corners) -> np.ndarray:
+    if isinstance(corners, np.ndarray):
+        return corners.astype(float, copy=False)
+    if len({c.dim for c in corners}) > 1:
+        raise InvalidGeometryError("mixed dimensions; the dimension is fixed per session")
+    return np.array([c.coords for c in corners], dtype=float)
+
+
+def _clamp_residue(value, what: str):
+    # Elementwise on arrays: roundoff negatives clamp to 0, real negatives raise.
+    if not np.all(value >= NEGATIVE_RESIDUE_FLOOR):
+        raise InternalConsistencyError(f"{what} came out {np.min(value)}, far below zero")
+    return np.maximum(value, 0.0)

@@ -127,11 +127,12 @@ def sheet_increments(spec: GridSpec, seed: RngSeed) -> SheetField:
     return SheetField(spec, z * math.sqrt(spec.cell_volume), seed)
 
 
-def _check_alpha(alpha, dim: int) -> np.ndarray:
+def _check_alpha(alpha, dim: int | None = None) -> np.ndarray:
+    """Alpha as a flat array: nonempty, finite, positive, and ``dim`` long when a dimension is given."""
     a = np.asarray(alpha, dtype=float).reshape(-1)
-    if a.size != dim:
+    if dim is not None and a.size != dim:
         raise InvalidGridError(f"alpha has {a.size} entries but the grid has dimension {dim}")
-    if np.any(~np.isfinite(a)) or np.any(a <= 0):
+    if a.size == 0 or np.any(~np.isfinite(a)) or np.any(a <= 0):
         raise InvalidGridError(f"alpha must be finite and positive, got {tuple(a)}")
     return a
 
@@ -174,9 +175,7 @@ def integrate_stationary(field: SheetField, alpha, sigma: float, t: Corner) -> f
 
 def truncation_bound(alpha, L: float) -> float:
     """Relative second-moment error bound exp(-2 min(alpha) L) for a tail cut at L."""
-    a = np.asarray(alpha, dtype=float).reshape(-1)
-    if a.size == 0 or np.any(~np.isfinite(a)) or np.any(a <= 0):
-        raise InvalidGridError(f"alpha must be finite and positive, got {tuple(a)}")
+    a = _check_alpha(alpha)
     if not (math.isfinite(L) and L > 0):
         raise InvalidGridError(f"the truncation distance must be positive, got {L}")
     return math.exp(-2.0 * float(a.min()) * L)
@@ -188,9 +187,7 @@ def equivalent_kernel_params(alpha, sigma: float) -> KernelParams:
     Unit mean-reversion rate, axis measure weighted by alpha, and noise
     scale solving sigma_eff^2 = sigma^2 * 2^(1 - N) / prod(alpha).
     """
-    a = np.asarray(alpha, dtype=float).reshape(-1)
-    if a.size == 0 or np.any(~np.isfinite(a)) or np.any(a <= 0):
-        raise InvalidGridError(f"alpha must be finite and positive, got {tuple(a)}")
+    a = _check_alpha(alpha)
     sigma_eff = math.sqrt(sigma**2 * 2.0 ** (1 - a.size) / float(a.prod()))
     return KernelParams(lam=1.0, sigma=sigma_eff, measure=MeasureSpec.axis(tuple(a)))
 

@@ -26,8 +26,7 @@ import numpy as np
 from .errors import ConfigError, PlanningError
 from .gaussian import GaussianSpec, RngSeed, sample
 from .geometry import Corner, Frontier, Increment, canonicalize, frontier, min_closure
-from .kernel import KernelParams, transition_params
-from .measures import measure_rect, measure_symdiff
+from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
 __all__ = ["InitialLaw", "PlanStep", "Plan", "SamplePath", "plan", "simulate", "simulate_exact"]
 
@@ -79,9 +78,7 @@ class InitialLaw:
 
     @property
     def mean(self) -> float:
-        if self.kind == "dirac":
-            return self.params[0]
-        if self.kind == "normal":
+        if self.is_gaussian:
             return self.params[0]
         raise ConfigError("empirical initial law has no closed-form role here")
 
@@ -203,13 +200,17 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Replicates of the field on an ordered corner family, one row per replicate."""
+    """Replicates of the field on an ordered corner family, one row per replicate.
+
+    ``transitions`` holds the law :func:`simulate` used at each plan step (none for the exact sampler).
+    """
 
     corners: tuple[Corner, ...]
     values: np.ndarray
     params: KernelParams
     initial: InitialLaw
     seed: RngSeed
+    transitions: tuple[TransitionParams, ...] = ()
 
     def empirical_mean(self) -> np.ndarray:
         return self.values.mean(axis=0)
@@ -229,7 +230,7 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
     params.measure.check_dim(pl.dim)
-    transitions = [transition_params(params, step.increment) for step in pl.steps]
+    transitions = tuple(transition_params(params, step.increment) for step in pl.steps)
     gen = seed.generator()
     values = np.empty((replicates, len(pl.corners)))
     values[:, 0] = initial.draw(gen, replicates)
@@ -237,7 +238,7 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
         w = np.array([wt for _, wt in tp.weights])
         mean = values[:, list(step.parents)] @ w
         values[:, step.index] = mean + math.sqrt(tp.variance) * gen.standard_normal(replicates)
-    return SamplePath(pl.corners, values, params, initial, seed)
+    return SamplePath(pl.corners, values, params, initial, seed, transitions)
 
 
 def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicates: int, seed: RngSeed,
@@ -253,8 +254,9 @@ def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicate
         Cov(X_U, X_V) = s * exp(-lambda m(U sym-diff V))
                         + (v0 - s) * exp(-lambda (m(U) + m(V))),
 
-    with s = sigma^2/(2 lambda); a dirac x0 is the v0 = 0 case. Empirical
-    initial laws have no closed-form joint Gaussian and are rejected.
+    with s = sigma^2/(2 lambda) (:func:`~siou.kernel.cov_matrix`); a dirac x0 is
+    the v0 = 0 case. Empirical initial laws have no closed-form joint
+    Gaussian and are rejected.
     """
     if not initial.is_gaussian:
         raise ConfigError("simulate_exact needs a dirac or normal initial law")
@@ -262,19 +264,7 @@ def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicate
         raise ConfigError(f"need at least one replicate, got {replicates}")
     pl = corners if isinstance(corners, Plan) else plan(corners, tiebreak=tiebreak)
     params.measure.check_dim(pl.dim)
-    cs = pl.corners
-    m = params.measure
-    lam = params.lam
-    sv = params.stationary_variance
-    mu0, v0 = initial.mean, initial.variance
-    ms = np.array([measure_rect(m, c) for c in cs])
-    mean = mu0 * np.exp(-lam * ms)
-    n = len(cs)
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            sym = math.exp(-lam * measure_symdiff(m, cs[i], cs[j]))
-            both = math.exp(-lam * (ms[i] + ms[j]))
-            cov[i, j] = cov[j, i] = sv * sym + (v0 - sv) * both
+    mean = mean_vector(params, pl.corners, initial.mean)
+    cov = cov_matrix(params, pl.corners, v0=initial.variance)
     draws = sample(GaussianSpec(mean, cov), replicates, seed)
-    return SamplePath(cs, draws, params, initial, seed)
+    return SamplePath(pl.corners, draws, params, initial, seed)

@@ -9,9 +9,10 @@ units. Every check is deterministic given its seed and returns a
 CheckReport; when a numerical route errors out the check fails with the
 statistic pushed above any tolerance rather than raising.
 
-Checks that consume a covariance take it as an injectable function so the
-harness can prove it is not vacuous: the sign-flipped covariance fixture
-must make every deterministic check fail, and
+Checks that consume a covariance take it as an injectable matrix function
+``cov_fn(params, A, B=None) -> ndarray`` of two corner lists (B defaults
+to A), so the harness can prove it is not vacuous: the sign-flipped
+covariance fixture must make every deterministic check fail, and
 :func:`negative_control_reports` runs exactly that battery.
 """
 
@@ -27,16 +28,17 @@ import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, SiouError
 from .gaussian import GaussianSpec, RngSeed, conditional
-from .geometry import Corner, Increment, UnionSet, canonicalize, frontier
-from .kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac, transition_density, transition_params
-from .measures import MeasureSpec, measure_diff, measure_rect
+from .geometry import Corner, Increment, canonicalize, frontier
+from .kernel import KernelParams, cov_matrix, mean_vector, transition_density, transition_params
+from .measures import MeasureSpec, measure_diff, measure_rect, measure_symdiffs
 from .sheet import GridSpec, batch_paths, equivalent_kernel_params
 from .simulator import InitialLaw, SamplePath, plan, simulate, simulate_exact
 
 # Statistic value used when a route errors out: above any tolerance, still JSON-safe.
 BIG_STATISTIC = 1e308
 
-CovFn = Callable[[KernelParams, Corner, Corner], float]
+# cov_fn(params, A, B=None): covariance matrix between corner lists A and B (B defaults to A).
+CovFn = Callable[..., np.ndarray]
 
 __all__ = [
     "BIG_STATISTIC",
@@ -47,6 +49,7 @@ __all__ = [
     "theory_dirac",
     "theory_stationary",
     "matched_sequences",
+    "moment_zscores",
     "check_psd",
     "check_kernel_schur",
     "check_markov_orthogonality",
@@ -130,41 +133,33 @@ class FlowSpec:
         return Corner(tuple(x + frac * (y - x) for x, y in zip(a.coords, b.coords)))
 
 
-def stationary_covariance(params: KernelParams, u: Corner, v: Corner) -> float:
+def stationary_covariance(params: KernelParams, A, B=None) -> np.ndarray:
     """The canonical covariance route; default for every deterministic check."""
-    return cov_stationary(params, u, v)
+    return cov_matrix(params, A, B)
 
 
-def sign_flipped_covariance(params: KernelParams, u: Corner, v: Corner) -> float:
+def sign_flipped_covariance(params: KernelParams, A, B=None) -> np.ndarray:
     """Deliberately corrupted covariance (exponent sign flipped): negative-control fixture."""
-    from .measures import measure_symdiff
+    sym = measure_symdiffs(params.measure, A, A if B is None else B)
+    return params.stationary_variance * np.exp(params.lam * sym)
 
-    return params.stationary_variance * math.exp(params.lam * measure_symdiff(params.measure, u, v))
 
+def _ou_gram(params: KernelParams, thetas) -> np.ndarray:
+    """One-parameter OU covariance s exp(-lambda |theta_i - theta_j|): the time-change checks' oracle.
 
-def _gram(params: KernelParams, corners: Sequence[Corner], cov_fn: CovFn) -> np.ndarray:
-    n = len(corners)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = cov_fn(params, corners[i], corners[j])
-    return g
+    It must not use the set-indexed builder it checks."""
+    t = np.asarray(thetas, dtype=float)
+    return params.stationary_variance * np.exp(-params.lam * np.abs(t[:, None] - t[None, :]))
 
 
 def theory_dirac(params: KernelParams, corners: Sequence[Corner], x0: float) -> GaussianSpec:
     """Closed-form joint law of the field at the corners, started from a point x0."""
-    mean = np.array([mean_dirac(params, x0, c) for c in corners])
-    n = len(corners)
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            cov[i, j] = cov[j, i] = cov_dirac(params, corners[i], corners[j])
-    return GaussianSpec(mean, cov)
+    return GaussianSpec(mean_vector(params, corners, x0), cov_matrix(params, corners, v0=0.0))
 
 
 def theory_stationary(params: KernelParams, corners: Sequence[Corner]) -> GaussianSpec:
     """Closed-form joint law of the stationary field at the corners."""
-    return GaussianSpec(np.zeros(len(corners)), _gram(params, corners, stationary_covariance))
+    return GaussianSpec(np.zeros(len(corners)), cov_matrix(params, corners))
 
 
 def _quarter_corner(gen: np.random.Generator, dim: int, lo: int, hi: int) -> Corner:
@@ -221,7 +216,7 @@ def check_psd(params: KernelParams, trials: int, seed: RngSeed, cov_fn: CovFn | 
         while len({c.coords for c in corners}) < 2:
             n = int(gen.integers(2, max_corners + 1))
             corners = [_quarter_corner(gen, dim, 1, 12) for _ in range(n)]
-        g = _gram(local, corners, cov_fn)
+        g = cov_fn(local, corners)
         eigs = np.linalg.eigvalsh(g)
         worst = max(worst, -float(eigs[0]) / float(np.trace(g)))
     return CheckReport.make(name, worst, 1e-10, f"trials={trials}, max_corners={max_corners}")
@@ -245,7 +240,7 @@ def check_kernel_schur(params: KernelParams, dim: int, trials: int, seed: RngSee
         inc = _random_increment(gen, dim)
         tp = transition_params(params, inc)
         corners = [inc.a] + [c for c, _ in tp.weights]
-        g = _gram(params, corners, cov_fn)
+        g = cov_fn(params, corners)
         k = len(tp.weights)
         obs = list(range(1, k + 1))
         try:
@@ -292,7 +287,8 @@ def check_markov_orthogonality(params: KernelParams, dim: int, trials: int, seed
             continue
         used += 1
         tp = transition_params(params, inc)
-        resid = cov_fn(params, inc.a, u) - sum(wt * cov_fn(params, c, u) for c, wt in tp.weights)
+        col = cov_fn(params, [inc.a] + [c for c, _ in tp.weights], [u])[:, 0]
+        resid = col[0] - sum(wt * c for (_, wt), c in zip(tp.weights, col[1:]))
         worst = max(worst, abs(resid))
     tol = 1e-9 * params.stationary_variance
     return CheckReport.make(name, worst, tol, f"pairs={used}, skipped={skipped} precondition violations, dim={dim}")
@@ -314,19 +310,13 @@ def check_continuity(params: KernelParams, flows: Sequence[FlowSpec], tolerance:
         params.measure.check_dim(flow.dim)
         big = flow.max_param
         for target, approach in ((big, "inner"), (big / 2.0, "outer")):
-            u = flow.corner_at(target)
-            c_uu = cov_fn(params, u, u)
-            gaps = []
-            for n in range(1, refinements + 1):
-                if approach == "inner":
-                    s = target * (1.0 - ratio**n)
-                else:
-                    s = target + (big - target) * ratio**n
-                v = flow.corner_at(s)
-                gaps.append(c_uu + cov_fn(params, v, v) - 2.0 * cov_fn(params, u, v))
-            worst = max(worst, gaps[-1])
-            worst = max(worst, max(-g for g in gaps))
-            worst = max(worst, max(b - a for a, b in zip(gaps, gaps[1:])))
+            if approach == "inner":
+                ss = [target * (1.0 - ratio**n) for n in range(1, refinements + 1)]
+            else:
+                ss = [target + (big - target) * ratio**n for n in range(1, refinements + 1)]
+            g = cov_fn(params, [flow.corner_at(target)] + [flow.corner_at(s) for s in ss])
+            gaps = g[0, 0] + np.diag(g)[1:] - 2.0 * g[0, 1:]
+            worst = max(worst, gaps[-1], np.max(-gaps), np.max(np.diff(gaps)))
     return CheckReport.make(name, worst, tolerance, f"flows={len(flows)}, refinements={refinements}")
 
 
@@ -353,13 +343,10 @@ def check_stationarity(params: KernelParams, v: Corner, u_seq: Sequence[Corner],
     mismatch = max(abs(d - t) for d, t in zip(diffs, targets))
     if mismatch > 1e-9:
         raise ConfigError(f"increment measures do not match the origin sequence (off by {mismatch})")
-    gu = _gram(params, list(u_seq), cov_fn)
-    ga = _gram(params, list(a_seq), cov_fn)
-    sv = params.stationary_variance
-    k = len(a_seq)
-    predicted = np.array([[sv * math.exp(-params.lam * abs(targets[i] - targets[j])) for j in range(k)] for i in range(k)])
-    worst = max(float(np.max(np.abs(gu - ga))), float(np.max(np.abs(gu - predicted))))
-    return CheckReport.make(name, worst, 1e-10, f"k={k}, matched measures {targets}")
+    gu = cov_fn(params, list(u_seq))
+    ga = cov_fn(params, list(a_seq))
+    worst = max(float(np.max(np.abs(gu - ga))), float(np.max(np.abs(gu - _ou_gram(params, targets)))))
+    return CheckReport.make(name, worst, 1e-10, f"k={len(a_seq)}, matched measures {targets}")
 
 
 def check_flow_projection(params: KernelParams, flow: FlowSpec, cov_fn: CovFn | None = None,
@@ -372,16 +359,9 @@ def check_flow_projection(params: KernelParams, flow: FlowSpec, cov_fn: CovFn | 
     """
     cov_fn = cov_fn or stationary_covariance
     params.measure.check_dim(flow.dim)
-    sv = params.stationary_variance
-    ss = np.linspace(0.0, flow.max_param, n_points)
-    corners = [flow.corner_at(float(s)) for s in ss]
+    corners = [flow.corner_at(float(s)) for s in np.linspace(0.0, flow.max_param, n_points)]
     thetas = [measure_rect(params.measure, c) for c in corners]
-    worst = 0.0
-    for i in range(n_points):
-        for j in range(i, n_points):
-            lhs = cov_fn(params, corners[i], corners[j])
-            rhs = sv * math.exp(-params.lam * abs(thetas[j] - thetas[i]))
-            worst = max(worst, abs(lhs - rhs))
+    worst = float(np.max(np.abs(cov_fn(params, corners) - _ou_gram(params, thetas))))
     return CheckReport.make(name, worst, 1e-10, f"points={n_points}")
 
 
@@ -409,7 +389,7 @@ def check_ou_reduction(params: KernelParams, cov_fn: CovFn | None = None,
             if len(tp.weights) != 1:
                 return CheckReport.make(name, BIG_STATISTIC, 1e-12, f"expected one frontier corner, got {len(tp.weights)}")
             worst = max(worst, abs(tp.weights[0][1] - w_ref), abs(tp.variance - var_ref))
-            g = _gram(params, [Corner((t,)), Corner((s,))], cov_fn)
+            g = cov_fn(params, [Corner((t,)), Corner((s,))])
             beta = g[0, 1] / g[1, 1]
             resid = g[0, 0] - g[0, 1] ** 2 / g[1, 1]
             worst = max(worst, abs(beta - w_ref), abs(resid - var_ref))
@@ -420,34 +400,40 @@ def check_ou_reduction(params: KernelParams, cov_fn: CovFn | None = None,
     return CheckReport.make(name, worst, 1e-12, "grid of (s, t, x, y) values")
 
 
-def _moment_zscores(values: np.ndarray, theory: GaussianSpec) -> tuple[float, str]:
+def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return values.mean(axis=0), np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+
+
+def moment_zscores(values: np.ndarray, theory: GaussianSpec, other: np.ndarray | None = None,
+                   allowance: float = 0.0) -> tuple[float, str]:
+    """Worst z-score of the sample mean and upper-triangle covariance, and its label.
+
+    Scores ``values`` against ``theory``, or against ``other`` with standard
+    errors scaled by sqrt(2). Standard errors use the Gaussian fourth-moment
+    formula with the theory covariance; ``allowance`` is subtracted from
+    each covariance discrepancy first. The label (``mean[i]``/``cov[i,j]``)
+    is the first maximum's, and ``(0.0, "")`` means every score is 0.
+    """
     n, d = values.shape
-    emp_mean = values.mean(axis=0)
-    emp_cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
     tc = theory.cov
-    worst = 0.0
-    where = ""
-    for i in range(d):
-        se = math.sqrt(tc[i, i] / n)
-        z = _z_or_exact(emp_mean[i] - theory.mean[i], se)
-        if z > worst:
-            worst, where = z, f"mean[{i}]"
-    for i in range(d):
-        for j in range(i, d):
-            se = math.sqrt((tc[i, i] * tc[j, j] + tc[i, j] ** 2) / n)
-            z = _z_or_exact(emp_cov[i, j] - tc[i, j], se)
-            if z > worst:
-                worst, where = z, f"cov[{i},{j}]"
-    return worst, where
-
-
-def _z_or_exact(diff: float, se: float) -> float:
+    mean, cov = _moments(values)
+    ref_mean, ref_cov, scale = (theory.mean, tc, 1.0) if other is None else (*_moments(other), math.sqrt(2.0))
+    iu, ju = np.triu_indices(d)
+    var = np.diag(tc)
+    diff = np.abs(np.concatenate([mean - ref_mean, cov[iu, ju] - ref_cov[iu, ju]]))
+    diff[d:] = np.maximum(diff[d:] - allowance, 0.0)
+    se = scale * np.sqrt(np.concatenate([var / n, (var[iu] * var[ju] + tc[iu, ju] ** 2) / n]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = diff / se
     # A zero-variance component must match its target up to the summation
     # error of averaging ~1e5 identical floats; any genuine law error moves
     # the moment by orders of magnitude more than this window.
-    if se == 0.0:
-        return 0.0 if abs(diff) <= 1e-9 else BIG_STATISTIC
-    return abs(diff) / se
+    z[se == 0.0] = np.where(diff[se == 0.0] <= 1e-9, 0.0, BIG_STATISTIC)
+    k = int(np.argmax(z))
+    if not (z[k] > 0.0 or math.isnan(z[k])):
+        return 0.0, ""
+    where = f"mean[{k}]" if k < d else f"cov[{iu[k - d]},{ju[k - d]}]"
+    return float(z[k]), where
 
 
 def check_mc_moments(observed: SamplePath | np.ndarray, theory: GaussianSpec,
@@ -463,7 +449,7 @@ def check_mc_moments(observed: SamplePath | np.ndarray, theory: GaussianSpec,
     n = values.shape[0]
     if n < min_replicates:
         raise ConfigError(f"need at least {min_replicates} replicates for a moment check, got {n}")
-    worst, where = _moment_zscores(values, theory)
+    worst, where = moment_zscores(values, theory)
     return CheckReport.make(name, worst, 5.0, f"replicates={n}, worst at {where}")
 
 
@@ -476,26 +462,8 @@ def check_mc_agreement(a: SamplePath | np.ndarray, b: SamplePath | np.ndarray, t
         raise ConfigError(f"samplers disagree on shape: {va.shape} vs {vb.shape}")
     if va.shape[0] < min_replicates:
         raise ConfigError(f"need at least {min_replicates} replicates, got {va.shape[0]}")
-    n, d = va.shape
-    tc = theory.cov
-    worst = 0.0
-    where = ""
-    ma, mb = va.mean(axis=0), vb.mean(axis=0)
-    ca = np.atleast_2d(np.cov(va, rowvar=False, ddof=1))
-    cb = np.atleast_2d(np.cov(vb, rowvar=False, ddof=1))
-    root2 = math.sqrt(2.0)
-    for i in range(d):
-        se = root2 * math.sqrt(tc[i, i] / n)
-        z = _z_or_exact(ma[i] - mb[i], se)
-        if z > worst:
-            worst, where = z, f"mean[{i}]"
-    for i in range(d):
-        for j in range(i, d):
-            se = root2 * math.sqrt((tc[i, i] * tc[j, j] + tc[i, j] ** 2) / n)
-            z = _z_or_exact(ca[i, j] - cb[i, j], se)
-            if z > worst:
-                worst, where = z, f"cov[{i},{j}]"
-    return CheckReport.make(name, worst, 5.0, f"replicates={n}, worst at {where}")
+    worst, where = moment_zscores(va, theory, other=vb)
+    return CheckReport.make(name, worst, 5.0, f"replicates={va.shape[0]}, worst at {where}")
 
 
 def matched_sequences(measure: MeasureSpec, dim: int, k: int = 4) -> tuple[Corner, list[Corner], list[Corner], str]:
@@ -626,23 +594,9 @@ def build_mc_checks(seed: RngSeed) -> list[Callable[[], CheckReport]]:
         points = [Corner((0.25, 0.5)), Corner((0.6, 0.3)), Corner((1.0, 1.0))]
         values = batch_paths(grid, alpha, sigma, points, 20_000, seed.child(4), stationary=True)
         eq = equivalent_kernel_params(alpha, sigma)
-        theory = theory_stationary(eq, points)
-        n = values.shape[0]
-        emp_mean = values.mean(axis=0)
-        emp_cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
         allowance = 2.0 * step
-        worst = 0.0
-        where = ""
-        for i in range(len(points)):
-            z = abs(emp_mean[i]) / math.sqrt(theory.cov[i, i] / n)
-            if z > worst:
-                worst, where = z, f"mean[{i}]"
-            for j in range(i, len(points)):
-                se = math.sqrt((theory.cov[i, i] * theory.cov[j, j] + theory.cov[i, j] ** 2) / n)
-                excess = max(abs(emp_cov[i, j] - theory.cov[i, j]) - allowance, 0.0) / se
-                if excess > worst:
-                    worst, where = excess, f"cov[{i},{j}]"
-        details = f"replicates={n}, allowance={allowance}, worst at {where}"
+        worst, where = moment_zscores(values, theory_stationary(eq, points), allowance=allowance)
+        details = f"replicates={values.shape[0]}, allowance={allowance}, worst at {where}"
         return CheckReport.make("mc.sheet_representation_2d", worst, 5.0, details)
 
     for fn, label in ((dirac_markov, "mc.dirac_markov"), (dirac_exact, "mc.dirac_exact"),

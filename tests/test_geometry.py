@@ -162,6 +162,31 @@ def test_frontier_matches_brute_force_expansion():
         checked += 1
 
 
+@pytest.mark.parametrize("scale", [4.0, 0.25])
+def test_frontier_scales_with_the_coordinates(scale):
+    # Powers of two scale floats exactly, so the scaled frontier must be the
+    # frontier's corners times the scale, each with its sign unchanged.
+    rng = np.random.default_rng(4025)
+    checked = 0
+    while checked < 60:
+        dim = int(rng.integers(1, 5))
+        a = Corner(tuple(0.25 * rng.integers(4, 13, size=dim)))
+        bs = [Corner(tuple(0.25 * rng.integers(1, round(c / 0.25) + 1) for c in a.coords))
+              for _ in range(int(rng.integers(0, 6)))]
+        inc = Increment(a, canonicalize(bs))
+        scaled = Increment(Corner(tuple(scale * x for x in a.coords)),
+                           canonicalize([Corner(tuple(scale * x for x in b.coords)) for b in inc.b.corners]))
+        try:
+            fr = frontier(inc)
+        except InternalConsistencyError:
+            with pytest.raises(InternalConsistencyError):
+                frontier(scaled)
+            continue
+        want = {(tuple(scale * x for x in c.coords), s) for c, s in fr.entries}
+        assert frontier_set(frontier(scaled)) == want
+        checked += 1
+
+
 def test_frontier_support_avoids_covered_corners():
     # A retained corner is never strictly inside a single b-rectangle.
     rng = np.random.default_rng(99)

@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siou.errors import DegenerateKernelError, InternalConsistencyError, InvalidGeometryError
 from siou.geometry import Corner, Increment, canonicalize
 from siou.kernel import (
     KernelParams,
     cov_dirac,
+    cov_matrix,
     cov_stationary,
     mean_dirac,
+    mean_vector,
     transition_density,
     transition_params,
 )
-from siou.measures import MeasureSpec, measure_symdiff
+from siou.measures import MeasureSpec, measure_rect, measure_rows, measure_symdiff, measure_symdiffs
 
 
 LEB = MeasureSpec.lebesgue()
@@ -199,3 +203,52 @@ def test_symdiff_drives_stationary_covariance():
         v = Corner(tuple(0.25 * rng.integers(0, 13, size=dim)))
         expected = P.stationary_variance * math.exp(-P.lam * measure_symdiff(LEB, u, v))
         assert cov_stationary(P, u, v) == pytest.approx(expected, rel=1e-15)
+
+
+@st.composite
+def kernel_families(draw):
+    """Kernel parameters, two corner lists of one dimension (1-4), an origin variance and mean."""
+    dim = draw(st.integers(1, 4))
+    coord = st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False)
+    corner = st.tuples(*[coord] * dim).map(Corner)
+    if draw(st.booleans()):
+        measure = LEB
+    else:
+        measure = MeasureSpec.axis(draw(st.tuples(*[st.floats(0.25, 4.0)] * dim)))
+    params = KernelParams(draw(st.floats(0.1, 3.0)), draw(st.floats(0.3, 2.0)), measure)
+    A = draw(st.lists(corner, min_size=1, max_size=6))
+    B = draw(st.lists(corner, min_size=1, max_size=6))
+    v0 = draw(st.sampled_from([None, 0.0, draw(st.floats(0.01, 3.0))]))
+    return params, A, B, v0, draw(st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_families())
+def test_cov_matrix_and_mean_vector_match_the_scalar_formulas(case):
+    params, A, B, v0, mu0 = case
+    m, lam, s = params.measure, params.lam, params.stationary_variance
+    # The array measures are the scalar ones, bit for bit.
+    assert list(measure_rows(m, A)) == [measure_rect(m, u) for u in A]
+    assert measure_symdiffs(m, A, B).tolist() == [[measure_symdiff(m, u, v) for v in B] for u in A]
+    got = cov_matrix(params, A, B, v0=v0)
+    assert got.shape == (len(A), len(B))
+    for i, u in enumerate(A):
+        for j, v in enumerate(B):
+            want = s * math.exp(-lam * measure_symdiff(m, u, v))
+            if v0 is not None:
+                want += (v0 - s) * math.exp(-lam * (measure_rect(m, u) + measure_rect(m, v)))
+            assert abs(got[i, j] - want) <= 1e-15 * max(s, abs(v0 or 0.0))
+    means = mean_vector(params, A, mu0)
+    for u, got_mean in zip(A, means):
+        assert abs(got_mean - mu0 * math.exp(-lam * measure_rect(m, u))) <= 1e-15 * abs(mu0)
+    # B defaults to A, and the Gram is exactly symmetric.
+    gram = cov_matrix(params, A, v0=v0)
+    assert np.array_equal(gram, gram.T)
+    assert np.array_equal(gram, cov_matrix(params, A, A, v0=v0))
+
+
+def test_cov_matrix_rejects_mixed_dimensions():
+    with pytest.raises(InvalidGeometryError):
+        cov_matrix(P, [Corner((1.0,))], [Corner((1.0, 2.0))])
+    with pytest.raises(InvalidGeometryError):
+        cov_matrix(P, [Corner((1.0,)), Corner((1.0, 2.0))])

@@ -120,6 +120,17 @@ def test_equivalent_kernel_params_closed_form():
         equivalent_kernel_params((1.0, -1.0), 1.0)
 
 
+@pytest.mark.parametrize("alpha", [(), (0.0,), (1.0, -1.0), (1.0, math.inf), (math.nan,)])
+def test_alpha_checks_agree_across_the_sheet_api(alpha):
+    with pytest.raises(InvalidGridError):
+        truncation_bound(alpha, 1.0)
+    with pytest.raises(InvalidGridError):
+        equivalent_kernel_params(alpha, 1.0)
+    if len(alpha) == 2:
+        with pytest.raises(InvalidGridError):
+            batch_paths(GRID_2D, alpha, 1.0, [(0.5, 0.5)], 10, RngSeed(1))
+
+
 def test_batch_paths_reproducible_and_chunk_transparent():
     pts = [(0.25, 0.25), (0.5, 1.0), (1.0, 1.0)]
     a = batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, RngSeed(9), chunk=64)

@@ -8,7 +8,7 @@ import pytest
 from siou.errors import ConfigError
 from siou.gaussian import RngSeed
 from siou.geometry import Corner
-from siou.kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac
+from siou.kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac, transition_params
 from siou.measures import MeasureSpec
 from siou.simulator import InitialLaw, plan, simulate, simulate_exact
 
@@ -74,6 +74,14 @@ def test_simulate_is_reproducible():
     np.testing.assert_array_equal(a.values, b.values)
     c = simulate(pl, P, InitialLaw.dirac(0.7), 64, RngSeed(4))
     assert not np.array_equal(a.values, c.values)
+
+
+def test_simulate_returns_the_transitions_it_used():
+    pl = plan(FAMILY)
+    path = simulate(pl, P, InitialLaw.dirac(0.7), 10, RngSeed(4))
+    assert path.transitions == tuple(transition_params(P, step.increment) for step in pl.steps)
+    exact = simulate_exact(pl, P, InitialLaw.dirac(0.7), 10, RngSeed(4))
+    assert exact.transitions == ()
 
 
 def test_simulate_dirac_start_pins_origin():

@@ -25,6 +25,7 @@ from siou.verify import (
     check_psd,
     check_stationarity,
     matched_sequences,
+    moment_zscores,
     negative_control_reports,
     run_suite,
     sign_flipped_covariance,
@@ -183,9 +184,64 @@ def test_run_suite_rejects_unknown_name():
 def test_errored_check_keeps_its_label_and_fails():
     # a corrupted covariance makes conditioning routines raise; the runner
     # must convert that into a named failing report, not crash
-    def explode(params, u, v):
+    def explode(params, A, B=None):
         raise np.linalg.LinAlgError("boom")
 
     reports = run_suite("deterministic", RngSeed(5), threads=1, cov_fn=explode)
     assert all(not r.passed for r in reports)
     assert all(r.name != "unnamed" for r in reports)
+
+
+def _loop_zscores(values, theory, other=None, allowance=0.0):
+    """Explicit-loop oracle for moment_zscores: means first, then the covariance upper triangle."""
+    n, d = values.shape
+    tc = theory.cov
+    m1, c1 = values.mean(axis=0), np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+    if other is None:
+        m2, c2, scale = theory.mean, tc, 1.0
+    else:
+        m2, c2, scale = other.mean(axis=0), np.atleast_2d(np.cov(other, rowvar=False, ddof=1)), math.sqrt(2.0)
+    scores = []
+    for i in range(d):
+        scores.append((abs(m1[i] - m2[i]), scale * math.sqrt(tc[i, i] / n), f"mean[{i}]"))
+    for i in range(d):
+        for j in range(i, d):
+            excess = max(abs(c1[i, j] - c2[i, j]) - allowance, 0.0)
+            scores.append((excess, scale * math.sqrt((tc[i, i] * tc[j, j] + tc[i, j] ** 2) / n), f"cov[{i},{j}]"))
+    worst, where = 0.0, ""
+    for excess, se, label in scores:
+        z = (0.0 if excess <= 1e-9 else BIG_STATISTIC) if se == 0.0 else excess / se
+        if z > worst:
+            worst, where = z, label
+    return worst, where
+
+
+def test_moment_zscores_match_an_explicit_loop():
+    gen = RngSeed(21).generator()
+    n = 3000
+    mix = np.array([[1.0, 0.3, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 0.0]])
+    values = gen.standard_normal((n, 3)) @ mix + np.array([0.1, -0.2, 0.7])
+    other = gen.standard_normal((n, 3)) @ mix + np.array([0.1, -0.2, 0.7])
+    # Column 2 is a constant: zero variance in theory, matched exactly by the sample.
+    theory = GaussianSpec(np.array([0.1, -0.2, 0.7]), mix.T @ mix)
+    assert theory.cov[2, 2] == 0.0
+    for kwargs in ({}, {"allowance": 0.02}, {"other": other}, {"other": other, "allowance": 0.01}):
+        got = moment_zscores(values, theory, **kwargs)
+        assert got == _loop_zscores(values, theory, **kwargs)
+        assert got[0] > 0.0 and got[1]
+    # An allowance wider than every covariance discrepancy leaves only the means to score.
+    assert moment_zscores(values, theory, allowance=10.0)[1].startswith("mean[")
+    # The constant column off its target is an exact-match failure.
+    shifted = values.copy()
+    shifted[:, 2] += 1e-6
+    assert moment_zscores(shifted, theory) == (BIG_STATISTIC, "mean[2]")
+
+
+def test_nan_sample_fails_the_moment_checks():
+    # A NaN moment compares false against every score; it must still fail the check.
+    values = RngSeed(22).generator().standard_normal((2000, 2))
+    values[:, 1] = np.nan
+    theory = GaussianSpec(np.zeros(2), np.eye(2))
+    assert moment_zscores(values, theory)[1] == "mean[1]"
+    assert not check_mc_moments(values, theory).passed
+    assert not check_mc_agreement(values, values.copy(), theory).passed
