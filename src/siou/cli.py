@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -95,12 +96,21 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _corner_label(coords) -> str:
-    return ",".join(_fmt(c) for c in coords)
+    return ",".join(repr(float(c)) for c in coords)
+
+
+def _rows(values: np.ndarray):
+    """Rows of a 2-D array as lists of floats, converted 4,096 rows at a time to bound memory."""
+    for start in range(0, len(values), 4096):
+        yield from values[start : start + 4096].tolist()
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes one field, quoted if it needs to be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
 
 
 def _cmd_frontier(args) -> int:
@@ -177,10 +187,8 @@ def _cmd_sample(args) -> int:
     path = simulate(pl, params, initial, replicates, seed)
     labels = [_corner_label(c.coords) for c in path.corners]
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels)
-        for row in path.values:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerow(labels)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in _rows(path.values))
     transitions = [{"index": step.index, **tp.to_json()} for step, tp in zip(pl.steps, path.transitions)]
     resolved = {
         **cfg,
@@ -209,20 +217,18 @@ def _cmd_sheet(args) -> int:
             raise ConfigError(f"unknown sheet mode {mode!r}; pick stationary or dirac")
         y0 = float(cfg.get("y0", 0.0))
         replicates = int(args.replicates if args.replicates is not None else cfg.get("replicates", 0))
-        if replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {replicates}")
+        if replicates < 2:
+            raise ConfigError(f"sheet replicates must be >= 2 for the empirical covariance, got {replicates}")
         seed = _seed_from(cfg.get("seed"), args.seed)
     values = batch_paths(grid, alpha, sigma, points, replicates, seed,
                          y0=y0, stationary=(mode == "stationary"))
     eq = equivalent_kernel_params(alpha, sigma)
     theory = theory_stationary(eq, points) if mode == "stationary" else theory_dirac(eq, points, y0)
-    labels = [_corner_label(p.coords) for p in points]
+    labels = [_csv_field(_corner_label(p.coords)) for p in points]
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "t", "value"])
-        for r, row in enumerate(values):
-            for label, v in zip(labels, row):
-                writer.writerow([r, label, _fmt(v)])
+        csv.writer(fh).writerow(["replicate", "t", "value"])
+        fh.writelines(f"{r},{label},{v!r}\r\n" for r, row in enumerate(_rows(values))
+                      for label, v in zip(labels, row))
     emp_mean = values.mean(axis=0)
     emp_cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
     resolved = {**cfg, "mode": mode, "y0": y0, "replicates": replicates, "seed": seed.to_json(),

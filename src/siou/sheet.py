@@ -17,6 +17,12 @@ cell centers u <= t. The grid's lower corner stands in for -infinity;
 exp(-2 min_i alpha_i L) for a tail cut at distance L, which is how the
 lower corner should be chosen.
 
+``batch_paths`` draws noise only on the support: the cells, in C order,
+whose center lies in some point's integration region. Each of its rows
+consumes one normal per support cell, so a row equals the integrals of a
+``sheet_increments`` field of the same seed in law, and draw for draw only
+when the support is the whole grid.
+
 Restricted to rectangles [0, t] with t >= 0, the stationary integral is a
 set-indexed OU field in law for the axis measure with weights alpha, unit
 mean-reversion rate, and noise scale sigma_eff determined by
@@ -148,29 +154,53 @@ def _check_point(spec: GridSpec, t: Corner | tuple) -> np.ndarray:
     return tv
 
 
+def _cell_weights(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
+                  stationary: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support cells and each point's weights on them: ``(support, W, drift)``.
+
+    ``support`` holds the flat C-order indices of the cells whose center u
+    satisfies u <= t for some point t, leaving out the closed negative
+    orthant in the point-started mode. Column j of ``W`` (one row per
+    support cell) weights unit white noise at point j: sigma * exp(<alpha,
+    u - t>) when stationary, else sigma * exp(-<alpha, t>) * exp(<alpha, u>)
+    around ``drift[j]`` = y0 * exp(-<alpha, t>). A point's value is
+    ``drift + dW[support] @ W``.
+    """
+    a = _check_alpha(alpha, spec.dim)
+    tvs = np.array([_check_point(spec, t) for t in points], dtype=float).reshape(-1, spec.dim)
+    centers = _centers_flat(spec)
+    inside = np.all(centers[:, None, :] <= tvs[None, :, :], axis=2)
+    if not stationary:
+        inside &= ~np.all(centers <= 0.0, axis=1)[:, None]
+    support = np.flatnonzero(inside.any(axis=1))
+    inside, centers = inside[support], centers[support]
+    W = np.zeros((support.size, len(tvs)))
+    drift = np.zeros(len(tvs))
+    for j, tv in enumerate(tvs):
+        rows = inside[:, j]
+        if stationary:
+            W[rows, j] = sigma * np.exp((centers[rows] - tv) @ a)
+        else:
+            envelope = math.exp(-float(a @ tv))
+            W[rows, j] = sigma * envelope * np.exp(centers[rows] @ a)
+            drift[j] = y0 * envelope
+    return support, W, drift
+
+
 def integrate_mpou(field: SheetField, alpha, sigma: float, y0: float, t: Corner) -> float:
     """Midpoint-rule value of the sheet-driven OU process started at y0.
 
     Sums exp(<alpha, u>) dW(u) over cell centers u <= t that are not <= 0,
     then applies the exp(-<alpha, t>) envelope around y0.
     """
-    spec = field.spec
-    a = _check_alpha(alpha, spec.dim)
-    tv = _check_point(spec, t)
-    centers = _centers_flat(spec)
-    mask = np.all(centers <= tv, axis=1) & ~np.all(centers <= 0.0, axis=1)
-    s = float(np.exp(centers[mask] @ a) @ field.increments.ravel()[mask])
-    return math.exp(-float(a @ tv)) * (y0 + sigma * s)
+    support, W, drift = _cell_weights(field.spec, alpha, sigma, [t], y0)
+    return float(drift[0] + field.increments.ravel()[support] @ W[:, 0])
 
 
 def integrate_stationary(field: SheetField, alpha, sigma: float, t: Corner) -> float:
     """Midpoint-rule value of the stationary sheet-driven OU process at t."""
-    spec = field.spec
-    a = _check_alpha(alpha, spec.dim)
-    tv = _check_point(spec, t)
-    centers = _centers_flat(spec)
-    mask = np.all(centers <= tv, axis=1)
-    return sigma * float(np.exp((centers[mask] - tv) @ a) @ field.increments.ravel()[mask])
+    support, W, _ = _cell_weights(field.spec, alpha, sigma, [t], stationary=True)
+    return float(field.increments.ravel()[support] @ W[:, 0])
 
 
 def truncation_bound(alpha, L: float) -> float:
@@ -196,36 +226,24 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
                 y0: float = 0.0, stationary: bool = False, chunk: int = 512) -> np.ndarray:
     """Many independent sheet realizations evaluated at several points at once.
 
-    Returns a (replicates, len(points)) array whose row r equals
-    integrate_mpou (or integrate_stationary) at every point for the r-th
-    independent sheet. Cell weights are precomputed per point and the
-    replicates stream through one generator in fixed-size chunks. The noise
+    Returns a (replicates, len(points)) array whose row r holds the
+    integrate_mpou (or integrate_stationary) values at every point for the
+    r-th independent sheet. Noise is drawn only on the support cells, in C
+    order: each row consumes one normal per support cell, so it equals the
+    integrate_* values of a ``sheet_increments`` field of the same seed in
+    law, and draw for draw only when the support is the whole grid. The
+    replicates stream through one generator in fixed-size chunks; the noise
     consumed per row does not depend on the chunk size, so repeated calls
     with the same arguments are bit-identical and different chunk sizes
     agree to floating-point rounding.
     """
-    a = _check_alpha(alpha, spec.dim)
-    pts = [p if isinstance(p, Corner) else Corner(tuple(p)) for p in points]
-    centers = _centers_flat(spec)
-    weights = np.zeros((spec.ncells, len(pts)))
-    drift = np.zeros(len(pts))
-    for j, t in enumerate(pts):
-        tv = _check_point(spec, t)
-        envelope = math.exp(-float(a @ tv))
-        if stationary:
-            mask = np.all(centers <= tv, axis=1)
-            weights[mask, j] = sigma * np.exp((centers[mask] - tv) @ a)
-        else:
-            mask = np.all(centers <= tv, axis=1) & ~np.all(centers <= 0.0, axis=1)
-            weights[mask, j] = sigma * envelope * np.exp(centers[mask] @ a)
-            drift[j] = y0 * envelope
-    out = np.empty((replicates, len(pts)))
-    sqrt_vol = math.sqrt(spec.cell_volume)
+    support, W, drift = _cell_weights(spec, alpha, sigma, points, y0, stationary)
+    W *= math.sqrt(spec.cell_volume)
+    out = np.empty((replicates, W.shape[1]))
     gen = seed.generator()
     done = 0
     while done < replicates:
         take = min(chunk, replicates - done)
-        z = gen.standard_normal((take, spec.ncells))
-        out[done : done + take] = drift[None, :] + (z * sqrt_vol) @ weights
+        out[done : done + take] = drift + gen.standard_normal((take, support.size)) @ W
         done += take
     return out

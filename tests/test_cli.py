@@ -1,6 +1,8 @@
 """Command-line interface: outputs, overrides, exit codes, reproducibility."""
 
 import csv
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -9,6 +11,8 @@ import sys
 import pytest
 
 from siou.cli import main
+from siou.gaussian import RngSeed
+from siou.sheet import GridSpec, batch_paths
 
 
 def run_cli(argv, capsys):
@@ -195,6 +199,40 @@ def test_sheet_bad_mode(tmp_path, capsys):
     assert "mode" in err
 
 
+def test_sheet_needs_two_replicates(tmp_path, capsys):
+    # One replicate leaves the empirical covariance undefined (NaN in the JSON).
+    cfg = sheet_config(tmp_path, replicates=1)
+    csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+    code, _, err = run_cli(["sheet", "--config", cfg, "--csv", str(csv_path), "--json", str(json_path)], capsys)
+    assert code == 2
+    assert "replicates" in err
+    assert not json_path.exists()
+    code, _, _ = run_cli(["sheet", "--config", sheet_config(tmp_path), "--csv", str(csv_path),
+                          "--json", str(json_path), "--replicates", "2"], capsys)
+    assert code == 0
+
+
+def test_sheet_csv_is_the_csv_writer_rendering_of_the_values(tmp_path, capsys):
+    payload = {
+        "grid": {"lower": [-2.0, -2.0], "upper": [1.0, 1.0], "steps": [30, 30]},
+        "alpha": [1.0, 2.0], "sigma": 1.0, "points": [[0.5, 0.25], [1.0, 1.0]],
+        "mode": "dirac", "y0": 0.3, "replicates": 50, "seed": 4,
+    }
+    cfg = write_config(tmp_path, "sh2.json", payload)
+    csv_path, json_path = tmp_path / "sh2.csv", tmp_path / "sh2.json"
+    code, _, _ = run_cli(["sheet", "--config", cfg, "--csv", str(csv_path), "--json", str(json_path)], capsys)
+    assert code == 0
+    grid = GridSpec((-2.0, -2.0), (1.0, 1.0), (30, 30))
+    values = batch_paths(grid, (1.0, 2.0), 1.0, payload["points"], 50, RngSeed(4), y0=0.3)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["replicate", "t", "value"])
+    for r, row in enumerate(values):
+        for point, v in zip(payload["points"], row):
+            writer.writerow([r, ",".join(repr(float(c)) for c in point), repr(float(v))])
+    assert csv_path.read_bytes() == want.getvalue().encode("utf-8")
+
+
 def test_verify_deterministic_passes(tmp_path, capsys):
     json_path = str(tmp_path / "v.json")
     code, out, err = run_cli(["verify", "--suite", "deterministic", "--seed", "42",
@@ -254,3 +292,44 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["results"] == [{"corner": [1.0, 1.0], "sign": 1}]
+
+
+# SHA-256 of `siou sample` outputs for two fixed-seed configs. Any change
+# in the draws or in how values are serialized changes these digests.
+GOLDEN_SAMPLE = {
+    "lebesgue_2d_dirac": (
+        {
+            **KERNEL_BASE,
+            "corners": [[0.5, 0.5], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0]],
+            "initial": {"kind": "dirac", "x0": 0.7},
+            "replicates": 300,
+            "seed": 11,
+        },
+        "689ed5188e08d16e52480edc9848db470fdd42062b09447c38a1d79f957767aa",
+        "601ea33dbb39e4546aaeccd0de5c4d3caf39c4c7ff503a9501ac82afc5bcb654",
+    ),
+    "axis_3d_normal": (
+        {
+            "dimension": 3,
+            "measure": {"kind": "axis", "alpha": [1.0, 0.5, 2.0]},
+            "kernel": {"lambda": 0.8, "sigma": 1.3},
+            "corners": [[0.25, 1.0, 0.5], [1.0, 0.25, 0.75], [1.0, 1.0, 1.0], [0.5, 0.5, 1.5]],
+            "initial": {"kind": "normal", "mu": 0.3, "var": 0.4},
+            "replicates": 300,
+            "seed": {"seed": 5, "stream": 2},
+        },
+        "60eade9b8454e1744a94892da4dbbb4aafd238dac35f729737a9ff3cd0bf456e",
+        "7c502eba1ded884beefa9ee2667591356f2bad53d801366c40b6bad4aee51aa4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLE))
+def test_sample_outputs_match_golden_digests(tmp_path, capsys, name):
+    payload, csv_digest, json_digest = GOLDEN_SAMPLE[name]
+    cfg = write_config(tmp_path, "g.json", payload)
+    csv_path, json_path = tmp_path / "g.csv", tmp_path / "g.out.json"
+    code, _, _ = run_cli(["sample", "--config", cfg, "--csv", str(csv_path), "--json", str(json_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_digest

@@ -1,9 +1,12 @@
 """Grid white noise, sheet-driven OU integrals, and the matched kernel."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siou.errors import InvalidGridError, OutOfRangeError
 from siou.gaussian import RngSeed
@@ -12,6 +15,8 @@ from siou.kernel import cov_stationary
 from siou.measures import MeasureSpec
 from siou.sheet import (
     GridSpec,
+    SheetField,
+    _cell_weights,
     batch_paths,
     equivalent_kernel_params,
     integrate_mpou,
@@ -143,17 +148,110 @@ def test_batch_paths_reproducible_and_chunk_transparent():
     np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
+def _field_from_support_draws(spec, support, seed, junk=1e6):
+    """The field row 0 of batch_paths sees: its draws on the support, junk elsewhere."""
+    flat = np.full(spec.ncells, junk)
+    flat[support] = seed.generator().standard_normal((1, support.size))[0] * math.sqrt(spec.cell_volume)
+    return SheetField(spec, flat.reshape(spec.steps), seed)
+
+
 def test_batch_paths_first_row_matches_pointwise_integrals():
+    # Row 0 reads only the support draws, so junk in every other cell
+    # leaves the pointwise integrals unchanged.
     pts = [Corner((0.25,)), Corner((0.75,))]
-    rows = batch_paths(GRID_1D, (1.2,), 0.8, pts, 1, RngSeed(10), y0=0.4)
-    f = sheet_increments(GRID_1D, RngSeed(10))
+    alpha, sigma, y0 = (1.2,), 0.8, 0.4
+    for stationary in (False, True):
+        rows = batch_paths(GRID_1D, alpha, sigma, pts, 1, RngSeed(10), y0=y0, stationary=stationary)
+        support, _, _ = _cell_weights(GRID_1D, alpha, sigma, pts, y0, stationary)
+        assert support.size < GRID_1D.ncells
+        f = _field_from_support_draws(GRID_1D, support, RngSeed(10))
+        for j, t in enumerate(pts):
+            if stationary:
+                want = integrate_stationary(f, alpha, sigma, t)
+            else:
+                want = integrate_mpou(f, alpha, sigma, y0, t)
+            assert abs(rows[0, j] - want) <= 1e-10 * (1.0 + abs(want))
+
+
+def test_whole_grid_support_draws_the_full_grid_noise():
+    # A stationary point at the upper corner puts every cell in the support,
+    # so row 0 consumes the same normals as sheet_increments.
+    pts = [Corner((0.25, 0.5)), Corner((1.0, 1.0))]
+    support, _, _ = _cell_weights(GRID_2D, (1.0, 2.0), 1.0, pts, stationary=True)
+    assert np.array_equal(support, np.arange(GRID_2D.ncells))
+    rows = batch_paths(GRID_2D, (1.0, 2.0), 1.0, pts, 1, RngSeed(13), stationary=True)
+    f = sheet_increments(GRID_2D, RngSeed(13))
     for j, t in enumerate(pts):
-        want = integrate_mpou(f, (1.2,), 0.8, 0.4, t)
+        want = integrate_stationary(f, (1.0, 2.0), 1.0, t)
         assert abs(rows[0, j] - want) <= 1e-10 * (1.0 + abs(want))
-    rows_s = batch_paths(GRID_1D, (1.2,), 0.8, pts, 1, RngSeed(10), stationary=True)
-    for j, t in enumerate(pts):
-        want = integrate_stationary(f, (1.2,), 0.8, t)
-        assert abs(rows_s[0, j] - want) <= 1e-10 * (1.0 + abs(want))
+
+
+class _CountingSeed:
+    """Stands in for RngSeed and counts the normals drawn from its generator."""
+
+    def __init__(self, seed):
+        self.seed, self.drawn = seed, 0
+
+    def generator(self):
+        gen = self.seed.generator()
+        outer = self
+
+        class Counting:
+            def standard_normal(self, size):
+                outer.drawn += int(np.prod(size))
+                return gen.standard_normal(size)
+
+        return Counting()
+
+
+def test_dirac_points_at_the_origin_return_y0_and_draw_nothing():
+    seed = _CountingSeed(RngSeed(14))
+    rows = batch_paths(GRID_2D, (1.0, 2.0), 1.0, [(0.0, 0.0), Corner((0.0, 0.0))], 700, seed, y0=-0.35)
+    assert rows.shape == (700, 2)
+    assert np.all(rows == -0.35)
+    assert seed.drawn == 0
+
+
+def test_support_draws_count_one_normal_per_support_cell():
+    pts = [(0.5, 0.5), (1.0, 0.25)]
+    seed = _CountingSeed(RngSeed(15))
+    batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, seed, chunk=128)
+    support, W, _ = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, pts)
+    assert seed.drawn == 300 * support.size
+    assert W.shape == (support.size, 2)
+
+
+@st.composite
+def grids_and_points(draw):
+    """A grid in dimension 1-3 (lower corners sometimes on the origin) and 1-4 points inside it."""
+    dim = draw(st.integers(1, 3))
+    lower = tuple(draw(st.sampled_from([0.0, -0.5, draw(st.floats(-2.0, -0.01))])) for _ in range(dim))
+    upper = tuple(draw(st.floats(0.1, 2.0)) for _ in range(dim))
+    steps = tuple(draw(st.integers(1, 6)) for _ in range(dim))
+    spec = GridSpec(lower, upper, steps)
+    point = st.tuples(*[st.floats(0.0, up) for up in upper])
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    return spec, points, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_points())
+def test_cell_weights_support_matches_a_brute_force_mask(case):
+    spec, points, stationary = case
+    alpha = (1.0, 0.5, 2.0)[: spec.dim]
+    support, W, _ = _cell_weights(spec, alpha, 0.7, points, 0.2, stationary)
+    widths = spec.cell_widths
+    want, regions = [], []
+    for flat, idx in enumerate(itertools.product(*[range(s) for s in spec.steps])):
+        u = [lo + (k + 0.5) * w for lo, k, w in zip(spec.lower, idx, widths)]
+        region = [all(c <= x for c, x in zip(u, t)) and (stationary or not all(c <= 0.0 for c in u))
+                  for t in points]
+        if any(region):
+            want.append(flat)
+            regions.append(region)
+    assert support.tolist() == want
+    assert W.shape == (len(want), len(points))
+    assert np.array_equal(W > 0.0, np.array(regions, dtype=bool).reshape(W.shape))
 
 
 def test_stationary_sheet_matches_kernel_covariance():
