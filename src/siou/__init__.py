@@ -21,7 +21,7 @@ from .errors import (
     SiouError,
 )
 from .gaussian import GaussianSpec, RngSeed, conditional, factorize, sample
-from .geometry import Corner, Frontier, Increment, UnionSet, canonicalize, frontier, min_closure, semilattice
+from .geometry import Corner, Frontier, Increment, UnionSet, canonicalize, frontier, min_closure
 from .kernel import (KernelParams, TransitionParams, cov_dirac, cov_matrix, cov_stationary, mean_dirac, mean_vector,
                      transition_density, transition_params)
 from .measures import MeasureSpec, measure_diff, measure_rect, measure_symdiff, measure_union
@@ -58,7 +58,6 @@ __all__ = [
     "Increment",
     "Frontier",
     "canonicalize",
-    "semilattice",
     "frontier",
     "min_closure",
     "MeasureSpec",

@@ -14,7 +14,7 @@ class InvalidGridError(InvalidGeometryError):
 
 
 class ComplexityError(SiouError):
-    """Raised when an inclusion-exclusion expansion would exceed the corner guard."""
+    """Raised when a corner fold would exceed its row guard, before it allocates."""
 
 
 class InternalConsistencyError(SiouError):

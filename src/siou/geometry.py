@@ -8,9 +8,19 @@ minima of corners, so everything here reduces to corner arithmetic:
 * a union of rectangles is stored as the antichain of its maximal corners
   (its extremal representation),
 * an increment is a pair (a, b) standing for [0, a] minus the union b,
-* the frontier of an increment is the set of subset-minima of the union's
-  corners whose inclusion-exclusion coefficients survive cancellation,
-  together with those +-1 signs.
+* the frontier of an increment is the set of meets (componentwise minima)
+  of the union's corners whose inclusion-exclusion coefficients survive
+  cancellation, together with those +-1 signs.
+
+Corner families are held as ``(k, N)`` float arrays inside the module;
+:class:`Corner` appears only at the API boundary. One fold serves the
+frontier, the union measure and the min-closure: it takes the b-corners one
+at a time and joins each corner c to the rows held so far as
+``rows + {c} + min(rows, c)``, with signed nets ``nets + {+1} + (-nets)``,
+then merges equal rows and drops rows whose net cancels to 0. This is
+incremental inclusion-exclusion, so the nets are the Moebius coefficients
+of the meet semilattice (Rota 1964), and its size is bounded by the rows the
+fold holds rather than by 2^k subsets.
 
 Corners closer than ``GEOM_ATOL`` in every coordinate are treated as one
 point. Exact cancellation in the frontier relies on equal inputs
@@ -20,7 +30,8 @@ only mops up near-duplicates in user input.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,29 +40,21 @@ from .errors import ComplexityError, InternalConsistencyError, InvalidGeometryEr
 
 GEOM_ATOL = 1e-12
 
-# Unions and frontiers expand inclusion-exclusion over all nonempty corner
-# subsets, so the corner count is capped to keep 2^k terms tractable.
-MAX_UNION_CORNERS = 20
+# Rows one fold step may allocate. After i corners the signed fold holds at
+# most 2^i - 1 rows, so every family of up to 20 corners fits.
+MAX_EXPANSION_ROWS = 2**20
 
 __all__ = [
     "GEOM_ATOL",
-    "MAX_UNION_CORNERS",
+    "MAX_EXPANSION_ROWS",
     "Corner",
     "UnionSet",
     "Increment",
     "Frontier",
     "canonicalize",
-    "semilattice",
     "frontier",
     "min_closure",
 ]
-
-
-def _check_dims(*items) -> int:
-    dims = {item.dim for item in items}
-    if len(dims) > 1:
-        raise InvalidGeometryError(f"mixed dimensions {sorted(dims)}; the dimension is fixed per session")
-    return dims.pop()
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,8 @@ class Corner:
         coords = tuple(float(c) for c in self.coords)
         if not coords:
             raise InvalidGeometryError("a corner needs at least one coordinate")
-        for c in coords:
-            if not np.isfinite(c) or c < 0.0:
-                raise InvalidGeometryError(f"coordinates must be finite and nonnegative, got {coords}")
+        if not all(math.isfinite(c) and c >= 0.0 for c in coords):
+            raise InvalidGeometryError(f"coordinates must be finite and nonnegative, got {coords}")
         object.__setattr__(self, "coords", coords)
 
     @classmethod
@@ -77,31 +79,113 @@ class Corner:
     def dim(self) -> int:
         return len(self.coords)
 
+    def _pairs(self, other: "Corner"):
+        if other.dim != self.dim:
+            raise InvalidGeometryError(f"mixed dimensions {sorted({self.dim, other.dim})}; the dimension is fixed per session")
+        return zip(self.coords, other.coords)
+
     def leq(self, other: "Corner", atol: float = GEOM_ATOL) -> bool:
         """Componentwise <= up to ``atol``, i.e. rectangle inclusion."""
-        _check_dims(self, other)
-        return all(a <= b + atol for a, b in zip(self.coords, other.coords))
+        return all(a <= b + atol for a, b in self._pairs(other))
 
     def meet(self, other: "Corner") -> "Corner":
         """Corner of the rectangle intersection: the componentwise minimum."""
-        _check_dims(self, other)
-        return Corner(tuple(min(a, b) for a, b in zip(self.coords, other.coords)))
+        return Corner(tuple(min(a, b) for a, b in self._pairs(other)))
 
     def isclose(self, other: "Corner", atol: float = GEOM_ATOL) -> bool:
-        _check_dims(self, other)
-        return all(abs(a - b) <= atol for a, b in zip(self.coords, other.coords))
+        return all(abs(a - b) <= atol for a, b in self._pairs(other))
 
     def to_json(self) -> list[float]:
         return list(self.coords)
 
 
-def _merge_close(corners: list[Corner]) -> list[Corner]:
-    """Drop corners within GEOM_ATOL of an already-kept one, in sorted order."""
-    kept: list[Corner] = []
-    for c in sorted(corners, key=lambda c: c.coords):
-        if not any(c.isclose(r) for r in kept):
-            kept.append(c)
-    return kept
+def _as_rows(corners) -> np.ndarray:
+    """Corners (or coordinate sequences, validated as corners) as a ``(k, N)`` float array; arrays pass through."""
+    if isinstance(corners, np.ndarray):
+        return corners.astype(float, copy=False)
+    cs = [c if isinstance(c, Corner) else Corner(tuple(c)) for c in corners]
+    dims = {c.dim for c in cs}
+    if len(dims) > 1:
+        raise InvalidGeometryError(f"mixed dimensions {sorted(dims)}; the dimension is fixed per session")
+    return np.array([c.coords for c in cs], dtype=float) if cs else np.empty((0, 0))
+
+
+def _corners(rows: np.ndarray) -> tuple[Corner, ...]:
+    return tuple(Corner(tuple(r)) for r in rows.tolist())
+
+
+def _has_near_values(rows: np.ndarray) -> bool:
+    """Whether some column holds two distinct values within GEOM_ATOL of each other."""
+    gap = np.diff(np.sort(rows, axis=0), axis=0)
+    return bool(((gap > 0) & (gap <= GEOM_ATOL)).any())
+
+
+def _group(rows: np.ndarray, nets: np.ndarray | None = None, near: bool = True):
+    """Sort rows lexicographically and drop each row within GEOM_ATOL of a kept one, summing nets into it.
+
+    ``near=False`` skips the tolerance merge, for rows whose columns hold no
+    two distinct values within GEOM_ATOL: only equal rows can merge then.
+    """
+    if len(rows) == 0:
+        return rows, nets
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    rows = rows[starts]
+    if nets is not None:
+        nets = np.add.reduceat(nets[order], starts)
+    if not (near and _has_near_values(rows)):
+        return rows, nets
+    keep = np.ones(len(rows), dtype=bool)
+    kept: list[int] = []
+    for i in range(len(rows)):
+        hit = np.flatnonzero(np.all(np.abs(rows[kept] - rows[i]) <= GEOM_ATOL, axis=1))
+        if hit.size:
+            keep[i] = False
+            if nets is not None:
+                nets[kept[hit[0]]] += nets[i]
+        else:
+            kept.append(i)
+    return rows[keep], None if nets is None else nets[keep]
+
+
+def _fold(corners: np.ndarray, rows: np.ndarray, nets: np.ndarray | None = None):
+    """Join the corners one at a time to ``rows``: each corner, and its meet with every row.
+
+    With ``nets`` the fold is signed inclusion-exclusion: a corner enters
+    with +1 and each meet with minus the net of its row; rows whose net
+    cancels to 0 are dropped, since all their later meets cancel too.
+    Without, it is the closure of ``rows`` and the corners under minima.
+    Each step checks MAX_EXPANSION_ROWS before it allocates.
+    """
+    # Meets take their coordinates from the inputs, so the tolerance merge is
+    # needed only if some input column holds near-equal values.
+    near = _has_near_values(np.concatenate([rows, corners]))
+    for i, c in enumerate(corners):
+        size = 2 * len(rows) + 1
+        if size > MAX_EXPANSION_ROWS:
+            raise ComplexityError(f"corner {i + 1} of {len(corners)} would expand to {size} meets (cap {MAX_EXPANSION_ROWS})")
+        rows = np.concatenate([rows, c[None, :], np.minimum(rows, c)])
+        if nets is not None:
+            nets = np.concatenate([nets, [1], -nets])
+        rows, nets = _group(rows, nets, near)
+        if nets is not None:
+            rows, nets = rows[nets != 0], nets[nets != 0]
+    return rows, nets
+
+
+def _signed_meets(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Meets of the rows with nonzero inclusion-exclusion nets, in lexicographic order."""
+    return _fold(rows, rows[:0], np.zeros(0, dtype=np.int64))
+
+
+def _dominated(rows: np.ndarray) -> np.ndarray:
+    """Whether each row lies componentwise below another, up to GEOM_ATOL."""
+    below = np.all(rows[:, None, :] <= rows[None, :, :] + GEOM_ATOL, axis=2)
+    np.fill_diagonal(below, False)
+    return below.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -116,14 +200,11 @@ class UnionSet:
 
     def __post_init__(self):
         corners = tuple(self.corners)
-        if corners:
-            _check_dims(*corners)
-        for i, c in enumerate(corners):
-            if i and not corners[i - 1].coords < c.coords:
-                raise InvalidGeometryError("union corners must be strictly sorted; use canonicalize()")
-        for u, v in itertools.permutations(corners, 2):
-            if u.leq(v):
-                raise InvalidGeometryError("union corners must form an antichain; use canonicalize()")
+        rows = _as_rows(corners)
+        if not all(u.coords < v.coords for u, v in zip(corners, corners[1:])):
+            raise InvalidGeometryError("union corners must be strictly sorted; use canonicalize()")
+        if _dominated(rows).any():
+            raise InvalidGeometryError("union corners must form an antichain; use canonicalize()")
         object.__setattr__(self, "corners", corners)
 
     @property
@@ -146,12 +227,8 @@ def canonicalize(corners) -> UnionSet:
     another, and sorts the survivors lexicographically. The empty input
     yields the empty union.
     """
-    cs = [c if isinstance(c, Corner) else Corner(tuple(c)) for c in corners]
-    if cs:
-        _check_dims(*cs)
-    merged = _merge_close(cs)
-    maximal = [u for u in merged if not any(v is not u and u.leq(v) for v in merged)]
-    return UnionSet(tuple(sorted(maximal, key=lambda c: c.coords)))
+    rows, _ = _group(_as_rows(corners))
+    return UnionSet(_corners(rows[~_dominated(rows)]))
 
 
 @dataclass(frozen=True)
@@ -162,10 +239,8 @@ class Increment:
     b: UnionSet
 
     def __post_init__(self):
-        if self.b.corners:
-            _check_dims(self.a, *self.b.corners)
-        clipped = canonicalize([c.meet(self.a) for c in self.b.corners])
-        object.__setattr__(self, "b", clipped)
+        rows = _as_rows((self.a, *self.b.corners))
+        object.__setattr__(self, "b", canonicalize(np.minimum(rows[1:], rows[0])))
 
     @property
     def dim(self) -> int:
@@ -202,105 +277,36 @@ class Frontier:
         return [{"corner": c.to_json(), "sign": s} for c, s in self.entries]
 
 
-def subset_meet_table(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise minima over all nonempty row subsets, with their signs.
-
-    Row ``m - 1`` of the first array is the minimum over the subset encoded
-    by bitmask ``m``; the second array holds the inclusion-exclusion signs
-    (-1)**(|m| + 1). Raises the complexity guard beyond MAX_UNION_CORNERS
-    rows.
-    """
-    k = coords.shape[0]
-    if k > MAX_UNION_CORNERS:
-        raise ComplexityError(f"{k} corners would expand to 2^{k} inclusion-exclusion terms (cap {MAX_UNION_CORNERS})")
-    table = np.full((1 << k, coords.shape[1]), np.inf)
-    for i in range(k):
-        lo = 1 << i
-        table[lo : 2 * lo] = np.minimum(table[:lo], coords[i])
-    masks = np.arange(1, 1 << k, dtype=np.uint64)
-    signs = np.where(np.bitwise_count(masks) % 2 == 1, 1, -1).astype(np.int64)
-    return table[1:], signs
-
-
-def _merge_close_rows(rows: np.ndarray, nets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge lexicographically adjacent rows within GEOM_ATOL, summing nets."""
-    if len(rows) == 0:
-        return rows, nets
-    out_rows = [rows[0]]
-    out_nets = [int(nets[0])]
-    for row, net in zip(rows[1:], nets[1:]):
-        if np.all(np.abs(row - out_rows[-1]) <= GEOM_ATOL):
-            out_nets[-1] += int(net)
-        else:
-            out_rows.append(row)
-            out_nets.append(int(net))
-    return np.array(out_rows), np.array(out_nets)
-
-
-def _entries_from_nets(rows: np.ndarray, nets: np.ndarray) -> tuple[tuple[Corner, int], ...]:
-    """Keep rows with nonzero net coefficient, insisting the net is +-1."""
-    entries = []
-    for row, net in zip(rows, nets):
-        if net == 0:
-            continue
-        if net not in (-1, 1):
-            raise InternalConsistencyError(
-                f"inclusion-exclusion net coefficient {net} at corner {tuple(row)}; expected -1, 0 or +1"
-            )
-        entries.append((Corner(tuple(row)), int(net)))
-    return tuple(entries)
-
-
-def semilattice(inc: Increment) -> list[Corner]:
-    """All componentwise minima of nonempty subsets of the increment's b-corners."""
-    bs = inc.b.corners
-    if not bs:
-        return []
-    meets, _ = subset_meet_table(np.array([c.coords for c in bs]))
-    uniq = np.unique(meets, axis=0)
-    merged, _ = _merge_close_rows(uniq, np.zeros(len(uniq), dtype=np.int64))
-    return [Corner(tuple(row)) for row in merged]
-
-
 def frontier(inc: Increment) -> Frontier:
     """Signed frontier of an increment after inclusion-exclusion cancellation.
 
-    Expands the union of the b-corners over all nonempty subsets, groups
-    equal subset-minima, and keeps the corners whose net coefficient is
-    nonzero. A net coefficient outside {-1, 0, +1} is a broken invariant
-    and raises rather than truncating. An empty b yields the origin with
-    sign +1, the convention for an unconditioned rectangle.
+    Folds the b-corners into their signed meets and keeps, in lexicographic
+    order, the meets whose net coefficient is nonzero. A net coefficient
+    outside {-1, 0, +1} is a broken invariant and raises rather than
+    truncating. An empty b yields the origin with sign +1, the convention
+    for an unconditioned rectangle.
     """
-    bs = inc.b.corners
-    if not bs:
+    if not inc.b.corners:
         return Frontier(((Corner.origin(inc.dim), 1),))
-    meets, signs = subset_meet_table(np.array([c.coords for c in bs]))
-    uniq, inverse = np.unique(meets, axis=0, return_inverse=True)
-    nets = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(nets, inverse.ravel(), signs)
-    rows, nets = _merge_close_rows(uniq, nets)
-    return Frontier(_entries_from_nets(rows, nets))
+    rows, nets = _signed_meets(_as_rows(inc.b.corners))
+    bad = np.flatnonzero(np.abs(nets) > 1)
+    if bad.size:
+        raise InternalConsistencyError(f"inclusion-exclusion net coefficient {nets[bad[0]]} at corner "
+                                       f"{tuple(rows[bad[0]].tolist())}; expected -1, 0 or +1")
+    return Frontier(tuple(zip(_corners(rows), nets.tolist())))
 
 
 def min_closure(corners) -> list[Corner]:
     """Close a nonempty corner family under componentwise minima.
 
-    Adds the origin, iterates pairwise meets to a fixed point, and returns
-    the closure sorted by (coordinate sum, lexicographic) order, which is a
-    linear extension of componentwise <=: a corner always follows
-    everything strictly below it.
+    Adds the origin, folds in every meet, and returns the closure sorted by
+    (coordinate sum, lexicographic) order, which is a linear extension of
+    componentwise <=: a corner always follows everything strictly below it.
     """
-    cs = [c if isinstance(c, Corner) else Corner(tuple(c)) for c in corners]
-    if not cs:
+    rows = _as_rows(corners)
+    if len(rows) == 0:
         raise InvalidGeometryError("min_closure needs at least one corner")
-    dim = _check_dims(*cs)
-    current = _merge_close(cs + [Corner.origin(dim)])
-    changed = True
-    while changed:
-        changed = False
-        for u, v in itertools.combinations(list(current), 2):
-            m = u.meet(v)
-            if not any(m.isclose(w) for w in current):
-                current.append(m)
-                changed = True
-    return sorted(current, key=lambda c: (sum(c.coords), c.coords))
+    rows, _ = _fold(rows, np.zeros((1, rows.shape[1])))
+    # Sums added left to right, as Python's sum() of the coordinates would.
+    sums = functools.reduce(np.add, rows.T)
+    return list(_corners(rows[np.lexsort([*rows.T[::-1], sums])]))

@@ -4,8 +4,9 @@ Two measure kinds drive the kernels. The Lebesgue measure of [0, t] is the
 product of the coordinates of t. The axis measure with weight vector alpha
 charges only the coordinate axes, giving [0, t] mass sum_i alpha_i t_i; it
 grows linearly where the Lebesgue measure degenerates near the axes.
-Unions are measured by exact inclusion-exclusion over subset minima, and
-set differences by subtraction, so everything stays exact at desk scale.
+Unions are measured by exact inclusion-exclusion, summing the signed
+meets of their corners (the geometry's fold), and set differences by
+subtraction, so everything stays exact at desk scale.
 The array forms :func:`measure_rows` and :func:`measure_symdiffs` feed the
 covariance-matrix builder.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidGeometryError
-from .geometry import Corner, UnionSet, canonicalize, subset_meet_table
+from .geometry import Corner, Increment, UnionSet, _as_rows, _signed_meets
 
 # A measure difference computed by subtraction may round slightly negative;
 # anything below this is a real inconsistency, anything above clamps to 0.
@@ -99,16 +100,12 @@ def measure_rows(spec: MeasureSpec, rows) -> np.ndarray:
 
 
 def measure_union(spec: MeasureSpec, u: UnionSet) -> float:
-    """Measure of a union of rectangles by exact inclusion-exclusion.
-
-    Expands over all nonempty corner subsets, so the union's corner count
-    is capped by the complexity guard.
-    """
+    """Measure of a union of rectangles by exact inclusion-exclusion over its signed meets."""
     if not u.corners:
         return 0.0
     spec.check_dim(u.dim)
-    meets, signs = subset_meet_table(_as_rows(u.corners))
-    total = float(signs @ measure_rows(spec, meets))
+    meets, nets = _signed_meets(_as_rows(u.corners))
+    total = float(nets @ measure_rows(spec, meets))
     return float(_clamp_residue(total, "union measure"))
 
 
@@ -130,17 +127,8 @@ def measure_symdiffs(spec: MeasureSpec, a, b) -> np.ndarray:
 
 def measure_diff(spec: MeasureSpec, a: Corner, b: UnionSet) -> float:
     """Measure of the increment [0, a] minus the union b."""
-    clipped = canonicalize([c.meet(a) for c in b.corners])
-    total = measure_rect(spec, a) - measure_union(spec, clipped)
+    total = measure_rect(spec, a) - measure_union(spec, Increment(a, b).b)
     return float(_clamp_residue(total, "increment measure"))
-
-
-def _as_rows(corners) -> np.ndarray:
-    if isinstance(corners, np.ndarray):
-        return corners.astype(float, copy=False)
-    if len({c.dim for c in corners}) > 1:
-        raise InvalidGeometryError("mixed dimensions; the dimension is fixed per session")
-    return np.array([c.coords for c in corners], dtype=float)
 
 
 def _clamp_residue(value, what: str):

@@ -161,10 +161,11 @@ def _cell_weights(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
     ``support`` holds the flat C-order indices of the cells whose center u
     satisfies u <= t for some point t, leaving out the closed negative
     orthant in the point-started mode. Column j of ``W`` (one row per
-    support cell) weights unit white noise at point j: sigma * exp(<alpha,
-    u - t>) when stationary, else sigma * exp(-<alpha, t>) * exp(<alpha, u>)
-    around ``drift[j]`` = y0 * exp(-<alpha, t>). A point's value is
-    ``drift + dW[support] @ W``.
+    support cell) weights unit white noise at point j by sigma * exp(<alpha,
+    u - t>) in both modes, the started mode around ``drift[j]`` = y0 *
+    exp(-<alpha, t>). Taking the exponent of the difference keeps steep
+    alpha finite where exp(-<alpha, t>) * exp(<alpha, u>) would be 0 * inf.
+    A point's value is ``drift + dW[support] @ W``.
     """
     a = _check_alpha(alpha, spec.dim)
     tvs = np.array([_check_point(spec, t) for t in points], dtype=float).reshape(-1, spec.dim)
@@ -178,20 +179,17 @@ def _cell_weights(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
     drift = np.zeros(len(tvs))
     for j, tv in enumerate(tvs):
         rows = inside[:, j]
-        if stationary:
-            W[rows, j] = sigma * np.exp((centers[rows] - tv) @ a)
-        else:
-            envelope = math.exp(-float(a @ tv))
-            W[rows, j] = sigma * envelope * np.exp(centers[rows] @ a)
-            drift[j] = y0 * envelope
+        W[rows, j] = sigma * np.exp((centers[rows] - tv) @ a)
+        if not stationary:
+            drift[j] = y0 * math.exp(-float(a @ tv))
     return support, W, drift
 
 
 def integrate_mpou(field: SheetField, alpha, sigma: float, y0: float, t: Corner) -> float:
     """Midpoint-rule value of the sheet-driven OU process started at y0.
 
-    Sums exp(<alpha, u>) dW(u) over cell centers u <= t that are not <= 0,
-    then applies the exp(-<alpha, t>) envelope around y0.
+    Sums exp(<alpha, u - t>) dW(u) over cell centers u <= t that are not
+    <= 0, around the drift y0 * exp(-<alpha, t>).
     """
     support, W, drift = _cell_weights(field.spec, alpha, sigma, [t], y0)
     return float(drift[0] + field.increments.ravel()[support] @ W[:, 0])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, PlanningError
 from .gaussian import GaussianSpec, RngSeed, sample
-from .geometry import Corner, Frontier, Increment, canonicalize, frontier, min_closure
+from .geometry import GEOM_ATOL, Corner, Frontier, Increment, _as_rows, canonicalize, frontier, min_closure
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
 __all__ = ["InitialLaw", "PlanStep", "Plan", "SamplePath", "plan", "simulate", "simulate_exact"]
@@ -179,22 +179,18 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
         raise ConfigError(f"unknown tiebreak {tiebreak!r}")
     if any(c != 0.0 for c in closed[0].coords):
         raise PlanningError("the closure must start at the origin")
-    index_of = {c.coords: i for i, c in enumerate(closed)}
+    rows = _as_rows(closed)
     steps = []
     for i in range(1, len(closed)):
-        a = closed[i]
-        b = canonicalize([closed[j].meet(a) for j in range(i)])
-        inc = Increment(a, b)
+        inc = Increment(closed[i], canonicalize(np.minimum(rows[:i], rows[i])))
         fr = frontier(inc)
-        parents = []
-        for corner, _ in fr.entries:
-            j = index_of.get(corner.coords)
-            if j is None:
-                j = next((k for k, c in enumerate(closed) if c.isclose(corner)), None)
-            if j is None or j >= i:
-                raise PlanningError(f"frontier corner {corner.coords} of step {i} is not sampled before it")
-            parents.append(j)
-        steps.append(PlanStep(i, a, inc, fr, tuple(parents)))
+        # Each frontier corner is an earlier closure corner, up to GEOM_ATOL.
+        near = np.all(np.abs(_as_rows(fr.corners)[:, None, :] - rows[None, :i, :]) <= GEOM_ATOL, axis=2)
+        found = near.any(axis=1)
+        if not found.all():
+            corner = fr.corners[int(np.argmin(found))]
+            raise PlanningError(f"frontier corner {corner.coords} of step {i} is not sampled before it")
+        steps.append(PlanStep(i, closed[i], inc, fr, tuple(near.argmax(axis=1).tolist())))
     return Plan(tuple(closed), tuple(steps))
 
 

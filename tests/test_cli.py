@@ -321,6 +321,18 @@ GOLDEN_SAMPLE = {
         "60eade9b8454e1744a94892da4dbbb4aafd238dac35f729737a9ff3cd0bf456e",
         "7c502eba1ded884beefa9ee2667591356f2bad53d801366c40b6bad4aee51aa4",
     ),
+    # The 12 x 12 quarter grid: a 145-corner plan whose frontiers all come from the fold.
+    "lebesgue_2d_quarter_grid": (
+        {
+            **KERNEL_BASE,
+            "corners": [[0.25 * i, 0.25 * j] for i in range(1, 13) for j in range(1, 13)],
+            "initial": {"kind": "dirac", "x0": 0.7},
+            "replicates": 50,
+            "seed": 23,
+        },
+        "cd697eb1f64c6b668d91e27888d17f29d9317eec8128c4d59f32700c3406a2b6",
+        "6e2e87af561c47e2042afd482d0ff90cd1e8ba645a3cf236f35322ea27b7b62e",
+    ),
 }
 
 

@@ -1,13 +1,15 @@
-"""Corner arithmetic, canonical unions, semilattices and signed frontiers."""
+"""Corner arithmetic, canonical unions, min-closures and signed frontiers."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from siou import geometry
 from siou.errors import ComplexityError, InternalConsistencyError, InvalidGeometryError
 from siou.geometry import (
-    MAX_UNION_CORNERS,
     Corner,
     Frontier,
     Increment,
@@ -15,8 +17,9 @@ from siou.geometry import (
     canonicalize,
     frontier,
     min_closure,
-    semilattice,
 )
+from siou.measures import MeasureSpec, measure_union
+from siou.simulator import plan
 
 
 def corners(*tuples):
@@ -85,16 +88,17 @@ def test_increment_clips_b_into_a():
 
 
 def test_semilattice_examples():
+    # The meet semilattice of the b-corners is their min-closure without the origin.
     inc = Increment(Corner((4.0, 4.0)), canonicalize(corners((1, 2), (2, 1))))
-    assert {c.coords for c in semilattice(inc)} == {(1.0, 2.0), (2.0, 1.0), (1.0, 1.0)}
+    assert {c.coords for c in min_closure(inc.b.corners)} == {(0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (1.0, 1.0)}
     single = Increment(Corner((3.0,)), canonicalize(corners((3,))))
-    assert [c.coords for c in semilattice(single)] == [(3.0,)]
+    assert [c.coords for c in min_closure(single.b.corners)] == [(0.0,), (3.0,)]
 
 
 def test_semilattice_three_corner_example():
     inc = Increment(Corner((4.0, 4.0)), canonicalize(corners((1, 4), (2, 3), (4, 1))))
-    got = {c.coords for c in semilattice(inc)}
-    expected = {(1.0, 4.0), (2.0, 3.0), (4.0, 1.0), (1.0, 3.0), (2.0, 1.0), (1.0, 1.0)}
+    got = {c.coords for c in min_closure(inc.b.corners)}
+    expected = {(0.0, 0.0), (1.0, 4.0), (2.0, 3.0), (4.0, 1.0), (1.0, 3.0), (2.0, 1.0), (1.0, 1.0)}
     assert got == expected
 
 
@@ -136,30 +140,59 @@ def test_frontier_net_beyond_one_aborts():
         frontier(inc)
 
 
-def test_frontier_matches_brute_force_expansion():
-    rng = np.random.default_rng(20260816)
-    checked = 0
-    while checked < 120:
-        dim = int(rng.integers(1, 5))
-        a = Corner(tuple(0.25 * rng.integers(4, 13, size=dim)))
-        k = int(rng.integers(1, 6))
-        bs = [Corner(tuple(0.25 * rng.integers(1, round(c / 0.25) + 1) for c in a.coords))
-              for _ in range(k)]
-        inc = Increment(a, canonicalize(bs))
-        nets = {}
-        m = len(inc.b.corners)
-        for r in range(1, m + 1):
-            for sub in itertools.combinations(range(m), r):
-                meet = tuple(np.min([inc.b.corners[i].coords for i in sub], axis=0))
-                nets[meet] = nets.get(meet, 0) + (-1) ** (r + 1)
-        try:
-            fr = frontier(inc)
-        except InternalConsistencyError:
-            assert any(abs(n) > 1 for n in nets.values())
-            continue
-        expected = {(u, n) for u, n in nets.items() if n != 0}
-        assert frontier_set(fr) == expected
-        checked += 1
+def _subset_meets(rows):
+    """(meet, sign) over every nonempty subset of the rows: the itertools expansion."""
+    for r in range(1, len(rows) + 1):
+        for sub in itertools.combinations(rows, r):
+            yield tuple(np.min(sub, axis=0).tolist()), (-1) ** (r + 1)
+
+
+@st.composite
+def quarter_increments(draw):
+    """An increment on the quarter grid, dimensions 1-4, with up to 9 b-corners.
+
+    Half the families take their b-corners from one level of {1, 2, 3}^N
+    (in quarters), an antichain whose meets tie often and whose 3-D and 4-D
+    families reach nets of +-2.
+    """
+    dim = draw(st.integers(1, 4))
+    a = tuple(0.25 * q for q in draw(st.lists(st.integers(3, 8), min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        level = [c for c in itertools.product((1, 2, 3), repeat=dim) if sum(c) == 2 * dim]
+        quarter = st.sampled_from(level)
+    else:
+        quarter = st.tuples(*(st.integers(1, round(x / 0.25)) for x in a))
+    k = draw(st.integers(1, 9))
+    bs = draw(st.lists(quarter, min_size=k, max_size=k))
+    return Corner(a), [Corner(tuple(0.25 * q for q in b)) for b in bs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(quarter_increments())
+@example((Corner((0.75, 0.75, 0.75)), corners((0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5))))
+def test_frontier_matches_brute_force_expansion(case):
+    a, bs = case
+    inc = Increment(a, canonicalize(bs))
+    rows = [c.coords for c in inc.b.corners]
+    nets = {}
+    for meet, sign in _subset_meets(rows):
+        nets[meet] = nets.get(meet, 0) + sign
+    if any(abs(n) > 1 for n in nets.values()):
+        with pytest.raises(InternalConsistencyError):
+            frontier(inc)
+    else:
+        got = [(c.coords, s) for c, s in frontier(inc).entries]
+        assert got == sorted((u, n) for u, n in nets.items() if n != 0)
+    for spec in (MeasureSpec.lebesgue(), MeasureSpec.axis(tuple(0.5 + i for i in range(a.dim)))):
+        want = sum(n * float(np.prod(u) if spec.kind == "lebesgue" else np.dot(spec.alpha, u)) for u, n in nets.items())
+        assert measure_union(spec, inc.b) == pytest.approx(want, rel=1e-12)
+    closure = {(0.0,) * a.dim} | {meet for meet, _ in _subset_meets([b.coords for b in bs])}
+    assert [c.coords for c in min_closure(bs)] == sorted(closure, key=lambda c: (sum(c), c))
+    if a.dim <= 2:
+        # Plans order the closure by either tiebreak; above two dimensions a
+        # plan may meet a net of +-2 and refuse.
+        for tiebreak, key in (("lex", lambda c: (sum(c), c)), ("revlex", lambda c: (sum(c), c[::-1]))):
+            assert [c.coords for c in plan(bs, tiebreak=tiebreak).corners] == sorted(closure, key=key)
 
 
 @pytest.mark.parametrize("scale", [4.0, 0.25])
@@ -215,7 +248,7 @@ def test_boundary_corner_can_cancel_to_zero():
     fr = frontier(inc)
     support = {c.coords for c, _ in fr.entries}
     gone = (0.25, 1.25, 0.25)
-    assert gone in {c.coords for c in semilattice(inc)}
+    assert gone in {c.coords for c in min_closure(inc.b.corners)}
     assert gone not in support
     assert not any(all(g < b - 1e-12 for g, b in zip(gone, bc.coords)) for bc in inc.b.corners)
 
@@ -263,16 +296,55 @@ def test_min_closure_is_min_closed_and_linearly_extended():
                 assert not y.leq(x) or y.isclose(x)
 
 
+def antichain(k):
+    """The 2-D antichain (i, k + 1 - i), i = 1..k, in lexicographic order."""
+    return corners(*((i, k + 1 - i) for i in range(1, k + 1)))
+
+
+def antichain_frontier(cs):
+    """Closed form of a sorted 2-D antichain's frontier: +1 per corner, -1 per meet of neighbours."""
+    out = [(c.coords, 1) for c in cs] + [((u.coords[0], v.coords[1]), -1) for u, v in zip(cs, cs[1:])]
+    return sorted(out)
+
+
 def test_complexity_guard():
-    many = corners(*((float(i + 1), float(MAX_UNION_CORNERS + 1 - i)) for i in range(MAX_UNION_CORNERS + 1)))
+    # 21 corners lay beyond the old 2^k expansion; the fold holds 2k - 1 rows here.
+    many = antichain(21)
     inc = Increment(Corner((50.0, 50.0)), canonicalize(many))
-    assert len(inc.b.corners) == MAX_UNION_CORNERS + 1
-    with pytest.raises(ComplexityError):
-        frontier(inc)
-    with pytest.raises(ComplexityError):
-        semilattice(inc)
+    fr = frontier(inc)
+    assert len(fr) == 41
+    assert [(c.coords, s) for c, s in fr.entries] == antichain_frontier(many)
 
 
+def test_hundred_corner_antichain_frontier_is_the_closed_form():
+    xs = np.cumsum(np.random.default_rng(8).integers(1, 4, size=100)) * 0.25
+    ys = np.cumsum(np.random.default_rng(9).integers(1, 4, size=100))[::-1] * 0.25
+    cs = [Corner((float(x), float(y))) for x, y in zip(xs, ys)]
+    fr = frontier(Increment(Corner((100.0, 100.0)), canonicalize(cs)))
+    assert [(c.coords, s) for c, s in fr.entries] == antichain_frontier(cs)
+
+
+def test_expansion_guard_raises_before_allocating(monkeypatch):
+    # With a cap of 6 rows the third corner's step (2 * 5 + 1 rows for the
+    # signed fold, 2 * 4 + 1 for the closure from the origin) must raise
+    # before any step that large is built.
+    monkeypatch.setattr(geometry, "MAX_EXPANSION_ROWS", 6)
+    sizes = []
+    group = geometry._group
+
+    def spy(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return group(rows, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_group", spy)
+    fam = corners((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    inc = Increment(Corner((4.0, 4.0, 4.0)), canonicalize(fam))
+    calls = [lambda: frontier(inc), lambda: measure_union(MeasureSpec.lebesgue(), inc.b), lambda: min_closure(fam)]
+    for call in calls:
+        sizes.clear()
+        with pytest.raises(ComplexityError):
+            call()
+        assert sizes and max(sizes) <= 6
 def test_frontier_rejects_bad_sign_values():
     with pytest.raises(InvalidGeometryError):
         Frontier(((Corner((1.0,)), 2),))
@@ -282,6 +354,27 @@ def test_close_corners_merge():
     eps = 1e-14
     u = canonicalize([Corner((1.0, 2.0)), Corner((1.0 + eps, 2.0 - eps))])
     assert len(u.corners) == 1
+
+
+def test_near_duplicates_merge_into_any_kept_corner():
+    # Sorted, (1 + 2e-13, 2) sits next to (1 + 1e-13, 1), not to (1, 2); it
+    # must still merge into (1, 2), which then dominates (1 + 1e-13, 1).
+    u = canonicalize([Corner((1.0, 2.0)), Corner((1.0 + 1e-13, 1.0)), Corner((1.0 + 2e-13, 2.0))])
+    assert u.to_json() == [[1.0, 2.0]]
+
+
+def test_frontier_merges_near_duplicate_meets():
+    # Two b-corners share the first coordinate only up to 1e-13, so the fold
+    # builds meets such as (0.25, 1.5, 1.25) and (0.25 + 1e-13, 1.5, 1.25)
+    # that must merge and cancel as one corner.
+    exact = corners((1, 1, 1.5), (0.25, 1.5, 1.75), (0.25, 2, 1.25))
+    near = exact[:2] + [Corner((0.25 + 1e-13, 2.0, 1.25))]
+    a = Corner((3.0, 3.0, 3.0))
+    want = frontier(Increment(a, canonicalize(exact))).entries
+    got = frontier(Increment(a, canonicalize(near))).entries
+    assert len(got) == len(want) == 5
+    for (c, s), (d, t) in zip(got, want):
+        assert s == t and c.isclose(d)
 
 
 def test_json_round_trip():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from siou.errors import ComplexityError, InternalConsistencyError, InvalidGeometryError
+from siou.errors import InternalConsistencyError, InvalidGeometryError
 from siou.geometry import Corner, canonicalize
 from siou.measures import (
     MeasureSpec,
@@ -131,9 +131,11 @@ def test_alpha_validation():
 
 
 def test_union_complexity_guard():
+    # 21 corners lay beyond the old 2^k expansion; a 2-D antichain's measure is its staircase sum.
     many = canonicalize([Corner((float(i + 1), float(22 - i))) for i in range(21)])
-    with pytest.raises(ComplexityError):
-        measure_union(LEB, many)
+    xs = [c.coords[0] for c in many.corners]
+    staircase = sum((x - prev) * c.coords[1] for x, prev, c in zip(xs, [0.0] + xs, many.corners))
+    assert measure_union(LEB, many) == pytest.approx(staircase, rel=1e-12)
 
 
 def test_measure_spec_json_round_trip():

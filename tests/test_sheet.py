@@ -173,6 +173,22 @@ def test_batch_paths_first_row_matches_pointwise_integrals():
             assert abs(rows[0, j] - want) <= 1e-10 * (1.0 + abs(want))
 
 
+def test_steep_alpha_dirac_paths_stay_finite():
+    # exp(-<alpha, t>) underflows to 0 and exp(<alpha, u>) overflows here, so
+    # weights formed as their product were 0 * inf = NaN.
+    spec, alpha, pt = GridSpec((-1.0,), (2.0,), (30,)), (400.0,), Corner((1.9,))
+    rows = batch_paths(spec, alpha, 1.0, [pt], 3, RngSeed(1), y0=0.5)
+    assert np.all(np.isfinite(rows))
+    support, _, _ = _cell_weights(spec, alpha, 1.0, [pt], 0.5)
+    draws = RngSeed(1).generator().standard_normal((3, support.size)) * math.sqrt(spec.cell_volume)
+    for r in range(3):
+        flat = np.zeros(spec.ncells)
+        flat[support] = draws[r]
+        want = integrate_mpou(SheetField(spec, flat.reshape(spec.steps), RngSeed(1)), alpha, 1.0, 0.5, pt)
+        assert math.isfinite(want)
+        assert abs(rows[r, 0] - want) <= 1e-10 * (1.0 + abs(want))
+
+
 def test_whole_grid_support_draws_the_full_grid_noise():
     # A stationary point at the upper corner puts every cell in the support,
     # so row 0 consumes the same normals as sheet_increments.
