@@ -38,12 +38,18 @@ __all__ = ["main"]
 
 @contextmanager
 def _config_phase():
-    """Reclassify geometry/measure errors hit while resolving user input as config errors."""
+    """Reclassify errors hit while resolving user input as config errors.
+
+    Package errors, and the ValueError/TypeError/KeyError that malformed
+    JSON values or missing entries raise, all mean the input is unusable.
+    """
     try:
         yield
     except ConfigError:
         raise
-    except SiouError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"missing config entry {exc}") from exc
+    except (SiouError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -128,12 +134,9 @@ def _cmd_frontier(args) -> int:
 
 def _kernel_params_from(cfg: dict, args) -> tuple[KernelParams, int]:
     with _config_phase():
-        try:
-            dim = int(cfg["dimension"])
-            measure = MeasureSpec.from_json(cfg["measure"])
-            kcfg = dict(cfg["kernel"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"config needs dimension, measure and kernel sections: {exc}") from exc
+        dim = int(cfg["dimension"])
+        measure = MeasureSpec.from_json(cfg["measure"])
+        kcfg = dict(cfg["kernel"])
         if getattr(args, "lam", None) is not None:
             kcfg["lambda"] = args.lam
         if getattr(args, "sigma", None) is not None:
@@ -205,13 +208,10 @@ def _cmd_sample(args) -> int:
 def _cmd_sheet(args) -> int:
     cfg = _load_json(args.config)
     with _config_phase():
-        try:
-            grid = GridSpec(tuple(cfg["grid"]["lower"]), tuple(cfg["grid"]["upper"]), tuple(cfg["grid"]["steps"]))
-            alpha = tuple(float(a) for a in cfg["alpha"])
-            sigma = float(cfg["sigma"])
-            points = [_corner(p, grid.dim) for p in cfg["points"]]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"sheet config needs grid, alpha, sigma and points: {exc}") from exc
+        grid = GridSpec(tuple(cfg["grid"]["lower"]), tuple(cfg["grid"]["upper"]), tuple(cfg["grid"]["steps"]))
+        alpha = tuple(float(a) for a in cfg["alpha"])
+        sigma = float(cfg["sigma"])
+        points = [_corner(p, grid.dim) for p in cfg["points"]]
         mode = cfg.get("mode", "stationary")
         if mode not in ("stationary", "dirac"):
             raise ConfigError(f"unknown sheet mode {mode!r}; pick stationary or dirac")
@@ -246,7 +246,8 @@ def _cmd_sheet(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = RngSeed(args.seed)
+    with _config_phase():
+        seed = RngSeed(args.seed)
     reports = run_suite(args.suite, seed)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

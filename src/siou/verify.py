@@ -7,7 +7,12 @@ report the worst discrepancy against a fixed tolerance. Monte Carlo checks
 compare empirical moments against closed-form moments in standard-error
 units. Every check is deterministic given its seed and returns a
 CheckReport; when a numerical route errors out the check fails with the
-statistic pushed above any tolerance rather than raising.
+statistic pushed above any tolerance rather than raising. A check with
+nothing to examine (zero trials, no flows) raises ConfigError instead of
+passing.
+
+The suite builders return ``(label, thunk)`` pairs, and :func:`run_suite`
+runs them one after another, naming each report by its label.
 
 Checks that consume a covariance take it as an injectable matrix function
 ``cov_fn(params, A, B=None) -> ndarray`` of two corner lists (B defaults
@@ -19,10 +24,9 @@ covariance fixture must make every deterministic check fail, and
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -37,14 +41,26 @@ from .simulator import InitialLaw, SamplePath, plan, simulate, simulate_exact
 # Statistic value used when a route errors out: above any tolerance, still JSON-safe.
 BIG_STATISTIC = 1e308
 
+# Moment checks refuse samples with fewer replicates than this.
+MIN_REPLICATES = 1000
+
+# check_continuity approaches each target in this many steps, shrinking the gap by RATIO each step.
+CONTINUITY_REFINEMENTS = 40
+CONTINUITY_RATIO = 0.5
+
+# check_flow_projection compares the field at this many evenly spaced flow parameters.
+FLOW_POINTS = 7
+
 # cov_fn(params, A, B=None): covariance matrix between corner lists A and B (B defaults to A).
 CovFn = Callable[..., np.ndarray]
+
+# A suite entry: the report label and the thunk that runs the check.
+LabelledCheck = tuple[str, Callable[[], "CheckReport"]]
 
 __all__ = [
     "BIG_STATISTIC",
     "CheckReport",
     "FlowSpec",
-    "stationary_covariance",
     "sign_flipped_covariance",
     "theory_dirac",
     "theory_stationary",
@@ -133,11 +149,6 @@ class FlowSpec:
         return Corner(tuple(x + frac * (y - x) for x, y in zip(a.coords, b.coords)))
 
 
-def stationary_covariance(params: KernelParams, A, B=None) -> np.ndarray:
-    """The canonical covariance route; default for every deterministic check."""
-    return cov_matrix(params, A, B)
-
-
 def sign_flipped_covariance(params: KernelParams, A, B=None) -> np.ndarray:
     """Deliberately corrupted covariance (exponent sign flipped): negative-control fixture."""
     sym = measure_symdiffs(params.measure, A, A if B is None else B)
@@ -197,15 +208,16 @@ def _random_increment(gen: np.random.Generator, dim: int, max_b: int = 5, min_b:
     raise InternalConsistencyError("could not draw a representable increment in 200 attempts")
 
 
-def check_psd(params: KernelParams, trials: int, seed: RngSeed, cov_fn: CovFn | None = None,
-              max_corners: int = 12, name: str = "psd") -> CheckReport:
+def check_psd(params: KernelParams, trials: int, seed: RngSeed, cov_fn: CovFn = cov_matrix,
+              max_corners: int = 12) -> CheckReport:
     """Gram matrices from the covariance must be positive semidefinite.
 
     Random corner sets of up to ``max_corners`` corners in dimensions 1 to
     3, under both measure kinds; the statistic is the worst
     -min_eigenvalue / trace seen.
     """
-    cov_fn = cov_fn or stationary_covariance
+    if trials < 1:
+        raise ConfigError(f"check_psd needs at least one trial, got {trials}")
     gen = seed.generator()
     worst = -math.inf
     for _ in range(trials):
@@ -219,11 +231,11 @@ def check_psd(params: KernelParams, trials: int, seed: RngSeed, cov_fn: CovFn | 
         g = cov_fn(local, corners)
         eigs = np.linalg.eigvalsh(g)
         worst = max(worst, -float(eigs[0]) / float(np.trace(g)))
-    return CheckReport.make(name, worst, 1e-10, f"trials={trials}, max_corners={max_corners}")
+    return CheckReport.make("psd", worst, 1e-10, f"trials={trials}, max_corners={max_corners}")
 
 
 def check_kernel_schur(params: KernelParams, dim: int, trials: int, seed: RngSeed,
-                       cov_fn: CovFn | None = None, name: str = "kernel_schur") -> CheckReport:
+                       cov_fn: CovFn = cov_matrix) -> CheckReport:
     """Closed-form transition weights and variance must match Gaussian conditioning.
 
     For random increments, conditions the Gram matrix of (X_a, frontier)
@@ -231,7 +243,8 @@ def check_kernel_schur(params: KernelParams, dim: int, trials: int, seed: RngSee
     regression coefficients and residual variance against
     transition_params.
     """
-    cov_fn = cov_fn or stationary_covariance
+    if trials < 1:
+        raise ConfigError(f"check_kernel_schur needs at least one trial, got {trials}")
     params.measure.check_dim(dim)
     gen = seed.generator()
     worst = 0.0
@@ -251,12 +264,12 @@ def check_kernel_schur(params: KernelParams, dim: int, trials: int, seed: RngSee
                 probe = conditional(spec, obs, np.eye(k)[j]).mean[0] - base.mean[0]
                 worst = max(worst, abs(float(probe) - tp.weights[j][1]))
         except (SiouError, ValueError, np.linalg.LinAlgError) as exc:
-            return CheckReport.make(name, BIG_STATISTIC, 1e-8, f"{details}; conditioning failed: {exc}")
-    return CheckReport.make(name, worst, 1e-8, details)
+            return CheckReport.make("kernel_schur", BIG_STATISTIC, 1e-8, f"{details}; conditioning failed: {exc}")
+    return CheckReport.make("kernel_schur", worst, 1e-8, details)
 
 
 def check_markov_orthogonality(params: KernelParams, dim: int, trials: int, seed: RngSeed,
-                               cov_fn: CovFn | None = None, name: str = "markov_orthogonality") -> CheckReport:
+                               cov_fn: CovFn = cov_matrix) -> CheckReport:
     """Cov(X_U, X_a - sum_i w_i X_{F_i}) must vanish for U inside the union.
 
     U qualifies when [0, u] meets [0, a] inside the union of the b-corners,
@@ -264,7 +277,8 @@ def check_markov_orthogonality(params: KernelParams, dim: int, trials: int, seed
     b-corner). Generated U that fail the precondition are skipped and
     counted.
     """
-    cov_fn = cov_fn or stationary_covariance
+    if trials < 1:
+        raise ConfigError(f"check_markov_orthogonality needs at least one trial, got {trials}")
     params.measure.check_dim(dim)
     gen = seed.generator()
     worst = 0.0
@@ -291,12 +305,12 @@ def check_markov_orthogonality(params: KernelParams, dim: int, trials: int, seed
         resid = col[0] - sum(wt * c for (_, wt), c in zip(tp.weights, col[1:]))
         worst = max(worst, abs(resid))
     tol = 1e-9 * params.stationary_variance
-    return CheckReport.make(name, worst, tol, f"pairs={used}, skipped={skipped} precondition violations, dim={dim}")
+    details = f"pairs={used}, skipped={skipped} precondition violations, dim={dim}"
+    return CheckReport.make("markov_orthogonality", worst, tol, details)
 
 
 def check_continuity(params: KernelParams, flows: Sequence[FlowSpec], tolerance: float,
-                     cov_fn: CovFn | None = None, refinements: int = 40, ratio: float = 0.5,
-                     name: str = "continuity") -> CheckReport:
+                     cov_fn: CovFn = cov_matrix) -> CheckReport:
     """L2 increments along monotone flows must shrink to zero, monotonically.
 
     Approaches a target corner from inside and from outside along each
@@ -304,24 +318,27 @@ def check_continuity(params: KernelParams, flows: Sequence[FlowSpec], tolerance:
     worst of: the final squared L2 gap, any negative gap, and any growth
     of the gap along the refinement.
     """
-    cov_fn = cov_fn or stationary_covariance
+    if not flows:
+        raise ConfigError("check_continuity needs at least one flow")
+    shrink = [CONTINUITY_RATIO**n for n in range(1, CONTINUITY_REFINEMENTS + 1)]
     worst = -math.inf
     for flow in flows:
         params.measure.check_dim(flow.dim)
         big = flow.max_param
         for target, approach in ((big, "inner"), (big / 2.0, "outer")):
             if approach == "inner":
-                ss = [target * (1.0 - ratio**n) for n in range(1, refinements + 1)]
+                ss = [target * (1.0 - r) for r in shrink]
             else:
-                ss = [target + (big - target) * ratio**n for n in range(1, refinements + 1)]
+                ss = [target + (big - target) * r for r in shrink]
             g = cov_fn(params, [flow.corner_at(target)] + [flow.corner_at(s) for s in ss])
             gaps = g[0, 0] + np.diag(g)[1:] - 2.0 * g[0, 1:]
             worst = max(worst, gaps[-1], np.max(-gaps), np.max(np.diff(gaps)))
-    return CheckReport.make(name, worst, tolerance, f"flows={len(flows)}, refinements={refinements}")
+    details = f"flows={len(flows)}, refinements={CONTINUITY_REFINEMENTS}"
+    return CheckReport.make("continuity", worst, tolerance, details)
 
 
 def check_stationarity(params: KernelParams, v: Corner, u_seq: Sequence[Corner], a_seq: Sequence[Corner],
-                       cov_fn: CovFn | None = None, name: str = "m_stationarity") -> CheckReport:
+                       cov_fn: CovFn = cov_matrix) -> CheckReport:
     """Laws over V must match laws from the origin when increment measures match.
 
     Requires nested sequences with m(U_i minus V) equal to m(A_i); both
@@ -330,7 +347,6 @@ def check_stationarity(params: KernelParams, v: Corner, u_seq: Sequence[Corner],
     predicted Gram keeps the check meaningful for corrupted covariances
     that would shift both empirical Grams the same way.
     """
-    cov_fn = cov_fn or stationary_covariance
     m = params.measure
     if len(u_seq) != len(a_seq) or not u_seq:
         raise ConfigError("need matching nonempty corner sequences")
@@ -346,27 +362,24 @@ def check_stationarity(params: KernelParams, v: Corner, u_seq: Sequence[Corner],
     gu = cov_fn(params, list(u_seq))
     ga = cov_fn(params, list(a_seq))
     worst = max(float(np.max(np.abs(gu - ga))), float(np.max(np.abs(gu - _ou_gram(params, targets)))))
-    return CheckReport.make(name, worst, 1e-10, f"k={len(a_seq)}, matched measures {targets}")
+    return CheckReport.make("m_stationarity", worst, 1e-10, f"k={len(a_seq)}, matched measures {targets}")
 
 
-def check_flow_projection(params: KernelParams, flow: FlowSpec, cov_fn: CovFn | None = None,
-                          n_points: int = 7, name: str = "flow_projection") -> CheckReport:
+def check_flow_projection(params: KernelParams, flow: FlowSpec, cov_fn: CovFn = cov_matrix) -> CheckReport:
     """The field along a monotone flow must be a one-parameter OU process.
 
     Time-changes the flow by theta(s) = m(f(s)) and compares the
     covariance of projected pairs against the classical form
     s * exp(-lambda |theta(t) - theta(s)|).
     """
-    cov_fn = cov_fn or stationary_covariance
     params.measure.check_dim(flow.dim)
-    corners = [flow.corner_at(float(s)) for s in np.linspace(0.0, flow.max_param, n_points)]
+    corners = [flow.corner_at(float(s)) for s in np.linspace(0.0, flow.max_param, FLOW_POINTS)]
     thetas = [measure_rect(params.measure, c) for c in corners]
     worst = float(np.max(np.abs(cov_fn(params, corners) - _ou_gram(params, thetas))))
-    return CheckReport.make(name, worst, 1e-10, f"points={n_points}")
+    return CheckReport.make("flow_projection", worst, 1e-10, f"points={FLOW_POINTS}")
 
 
-def check_ou_reduction(params: KernelParams, cov_fn: CovFn | None = None,
-                       name: str = "ou_reduction_1d") -> CheckReport:
+def check_ou_reduction(params: KernelParams, cov_fn: CovFn = cov_matrix) -> CheckReport:
     """In one Lebesgue dimension the kernel must be the classical OU kernel.
 
     Compares, over a grid of (s, t, x, y): the closed-form transition
@@ -374,7 +387,6 @@ def check_ou_reduction(params: KernelParams, cov_fn: CovFn | None = None,
     regression weight and residual variance implied by the covariance
     route. Pointwise agreement to 1e-12 is required.
     """
-    cov_fn = cov_fn or stationary_covariance
     if params.measure.kind != "lebesgue":
         raise ConfigError("the one-dimensional reduction check uses the Lebesgue measure")
     lam, sv = params.lam, params.stationary_variance
@@ -387,7 +399,8 @@ def check_ou_reduction(params: KernelParams, cov_fn: CovFn | None = None,
             inc = Increment(Corner((t,)), canonicalize([Corner((s,))]))
             tp = transition_params(params, inc)
             if len(tp.weights) != 1:
-                return CheckReport.make(name, BIG_STATISTIC, 1e-12, f"expected one frontier corner, got {len(tp.weights)}")
+                return CheckReport.make("ou_reduction_1d", BIG_STATISTIC, 1e-12,
+                                        f"expected one frontier corner, got {len(tp.weights)}")
             worst = max(worst, abs(tp.weights[0][1] - w_ref), abs(tp.variance - var_ref))
             g = cov_fn(params, [Corner((t,)), Corner((s,))])
             beta = g[0, 1] / g[1, 1]
@@ -397,7 +410,7 @@ def check_ou_reduction(params: KernelParams, cov_fn: CovFn | None = None,
                 for y in (-0.5, 0.3, 1.2):
                     dens_ref = math.exp(-((y - x * w_ref) ** 2) / (2.0 * var_ref)) / math.sqrt(2.0 * math.pi * var_ref)
                     worst = max(worst, abs(transition_density(tp, [x], y) - dens_ref))
-    return CheckReport.make(name, worst, 1e-12, "grid of (s, t, x, y) values")
+    return CheckReport.make("ou_reduction_1d", worst, 1e-12, "grid of (s, t, x, y) values")
 
 
 def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +450,7 @@ def moment_zscores(values: np.ndarray, theory: GaussianSpec, other: np.ndarray |
 
 
 def check_mc_moments(observed: SamplePath | np.ndarray, theory: GaussianSpec,
-                     name: str = "mc_moments", min_replicates: int = 1000) -> CheckReport:
+                     name: str = "mc_moments") -> CheckReport:
     """Empirical mean and covariance must sit within 5 standard errors of theory.
 
     Standard errors use the Gaussian fourth-moment formula with the theory
@@ -447,21 +460,21 @@ def check_mc_moments(observed: SamplePath | np.ndarray, theory: GaussianSpec,
     if values.ndim != 2 or values.shape[1] != theory.dim:
         raise ConfigError(f"observed values of shape {values.shape} do not fit theory dimension {theory.dim}")
     n = values.shape[0]
-    if n < min_replicates:
-        raise ConfigError(f"need at least {min_replicates} replicates for a moment check, got {n}")
+    if n < MIN_REPLICATES:
+        raise ConfigError(f"need at least {MIN_REPLICATES} replicates for a moment check, got {n}")
     worst, where = moment_zscores(values, theory)
     return CheckReport.make(name, worst, 5.0, f"replicates={n}, worst at {where}")
 
 
 def check_mc_agreement(a: SamplePath | np.ndarray, b: SamplePath | np.ndarray, theory: GaussianSpec,
-                       name: str = "mc_agreement", min_replicates: int = 1000) -> CheckReport:
+                       name: str = "mc_agreement") -> CheckReport:
     """Two samplers of the same law must agree within 5 standard errors of their difference."""
     va = a.values if isinstance(a, SamplePath) else np.asarray(a, dtype=float)
     vb = b.values if isinstance(b, SamplePath) else np.asarray(b, dtype=float)
     if va.shape != vb.shape:
         raise ConfigError(f"samplers disagree on shape: {va.shape} vs {vb.shape}")
-    if va.shape[0] < min_replicates:
-        raise ConfigError(f"need at least {min_replicates} replicates, got {va.shape[0]}")
+    if va.shape[0] < MIN_REPLICATES:
+        raise ConfigError(f"need at least {MIN_REPLICATES} replicates, got {va.shape[0]}")
     worst, where = moment_zscores(va, theory, other=vb)
     return CheckReport.make(name, worst, 5.0, f"replicates={va.shape[0]}, worst at {where}")
 
@@ -514,15 +527,9 @@ def _measures_for(dim: int) -> list[MeasureSpec]:
     return [MeasureSpec.lebesgue(), MeasureSpec.axis(_AXIS_ALPHAS[dim])]
 
 
-def build_deterministic_checks(seed: RngSeed, cov_fn: CovFn | None = None) -> list[Callable[[], CheckReport]]:
-    """Thunks for the deterministic battery over the parameter matrix."""
-    thunks: list[Callable[[], CheckReport]] = []
-
-    def add(label: str, fn: Callable[[], CheckReport]) -> None:
-        wrapped = lambda fn=fn, label=label: replace(fn(), name=label)  # noqa: E731
-        wrapped.check_label = label
-        thunks.append(wrapped)
-
+def build_deterministic_checks(seed: RngSeed, cov_fn: CovFn = cov_matrix) -> list[LabelledCheck]:
+    """(label, thunk) pairs for the deterministic battery over the parameter matrix."""
+    checks: list[LabelledCheck] = []
     counter = iter(range(100_000))
     for lam in DETERMINISTIC_LAMBDAS:
         for sig2 in DETERMINISTIC_SIGMA2:
@@ -530,55 +537,55 @@ def build_deterministic_checks(seed: RngSeed, cov_fn: CovFn | None = None) -> li
             tag = f"lam={lam},sigma2={sig2}"
             base = KernelParams(lam, sigma, MeasureSpec.lebesgue())
             psd_seed = seed.child(next(counter))
-            add(f"psd[{tag}]", lambda p=base, s=psd_seed: check_psd(p, 10, s, cov_fn=cov_fn))
-            add(f"ou_reduction_1d[{tag}]", lambda p=base: check_ou_reduction(p, cov_fn=cov_fn))
+            checks.append((f"psd[{tag}]", partial(check_psd, base, 10, psd_seed, cov_fn=cov_fn)))
+            checks.append((f"ou_reduction_1d[{tag}]", partial(check_ou_reduction, base, cov_fn=cov_fn)))
             for dim in DETERMINISTIC_DIMS:
                 for measure in _measures_for(dim):
                     params = KernelParams(lam, sigma, measure)
                     sub = f"{tag},N={dim},{measure.kind}"
                     s1, s2 = seed.child(next(counter)), seed.child(next(counter))
-                    add(f"kernel_schur[{sub}]", lambda p=params, d=dim, s=s1: check_kernel_schur(p, d, 10, s, cov_fn=cov_fn))
-                    add(f"markov_orthogonality[{sub}]",
-                        lambda p=params, d=dim, s=s2: check_markov_orthogonality(p, d, 20, s, cov_fn=cov_fn))
                     flows = _flows_for(dim)
-                    add(f"continuity[{sub}]",
-                        lambda p=params, f=flows: check_continuity(p, f, 1e-8 * p.stationary_variance, cov_fn=cov_fn))
                     v, u_seq, a_seq, _ = matched_sequences(measure, dim)
-                    add(f"m_stationarity[{sub}]",
-                        lambda p=params, vv=v, us=u_seq, asq=a_seq: check_stationarity(p, vv, us, asq, cov_fn=cov_fn))
+                    gap_tol = 1e-8 * params.stationary_variance
+                    checks += [
+                        (f"kernel_schur[{sub}]", partial(check_kernel_schur, params, dim, 10, s1, cov_fn=cov_fn)),
+                        (f"markov_orthogonality[{sub}]",
+                         partial(check_markov_orthogonality, params, dim, 20, s2, cov_fn=cov_fn)),
+                        (f"continuity[{sub}]", partial(check_continuity, params, flows, gap_tol, cov_fn=cov_fn)),
+                        (f"m_stationarity[{sub}]", partial(check_stationarity, params, v, u_seq, a_seq, cov_fn=cov_fn)),
+                    ]
                     for fi, flow in enumerate(flows):
-                        add(f"flow_projection[{sub},flow={fi}]",
-                            lambda p=params, f=flow: check_flow_projection(p, f, cov_fn=cov_fn))
-    return thunks
+                        checks.append((f"flow_projection[{sub},flow={fi}]",
+                                       partial(check_flow_projection, params, flow, cov_fn=cov_fn)))
+    return checks
 
 
 MC_FAMILY_2D = ((0.5, 0.5), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0))
 
 
-def build_mc_checks(seed: RngSeed) -> list[Callable[[], CheckReport]]:
-    """Thunks for the Monte Carlo battery: sampler laws and sheet representation."""
+def build_mc_checks(seed: RngSeed) -> list[LabelledCheck]:
+    """(label, thunk) pairs for the Monte Carlo battery: sampler laws and sheet representation."""
     params = KernelParams(1.0, math.sqrt(2.0), MeasureSpec.lebesgue())
     corners = [Corner(c) for c in MC_FAMILY_2D]
     pl = plan(corners)
-    thunks: list[Callable[[], CheckReport]] = []
 
     def dirac_markov() -> CheckReport:
         path = simulate(pl, params, InitialLaw.dirac(0.7), 100_000, seed.child(0))
-        return check_mc_moments(path, theory_dirac(params, pl.corners, 0.7), name="mc.dirac_markov")
+        return check_mc_moments(path, theory_dirac(params, pl.corners, 0.7))
 
     def dirac_exact() -> CheckReport:
         path = simulate_exact(pl, params, InitialLaw.dirac(0.7), 100_000, seed.child(1))
-        return check_mc_moments(path, theory_dirac(params, pl.corners, 0.7), name="mc.dirac_exact")
+        return check_mc_moments(path, theory_dirac(params, pl.corners, 0.7))
 
     def dirac_agreement() -> CheckReport:
         a = simulate(pl, params, InitialLaw.dirac(0.7), 100_000, seed.child(0))
         b = simulate_exact(pl, params, InitialLaw.dirac(0.7), 100_000, seed.child(1))
-        return check_mc_agreement(a, b, theory_dirac(params, pl.corners, 0.7), name="mc.dirac_agreement")
+        return check_mc_agreement(a, b, theory_dirac(params, pl.corners, 0.7))
 
     def stationary_markov() -> CheckReport:
         initial = InitialLaw.normal(0.0, params.stationary_variance)
         path = simulate(pl, params, initial, 100_000, seed.child(2))
-        return check_mc_moments(path, theory_stationary(params, pl.corners), name="mc.stationary_markov")
+        return check_mc_moments(path, theory_stationary(params, pl.corners))
 
     def sheet_1d() -> CheckReport:
         alpha, sigma, y0 = (1.2,), 1.0, 0.4
@@ -586,7 +593,7 @@ def build_mc_checks(seed: RngSeed) -> list[Callable[[], CheckReport]]:
         points = [Corner((0.3,)), Corner((0.75,)), Corner((1.5,))]
         values = batch_paths(grid, alpha, sigma, points, 20_000, seed.child(3), y0=y0)
         eq = equivalent_kernel_params(alpha, sigma)
-        return check_mc_moments(values, theory_dirac(eq, points, y0), name="mc.sheet_reduction_1d")
+        return check_mc_moments(values, theory_dirac(eq, points, y0))
 
     def sheet_2d() -> CheckReport:
         alpha, sigma, step = (1.0, 2.0), 1.0, 0.05
@@ -597,57 +604,36 @@ def build_mc_checks(seed: RngSeed) -> list[Callable[[], CheckReport]]:
         allowance = 2.0 * step
         worst, where = moment_zscores(values, theory_stationary(eq, points), allowance=allowance)
         details = f"replicates={values.shape[0]}, allowance={allowance}, worst at {where}"
-        return CheckReport.make("mc.sheet_representation_2d", worst, 5.0, details)
+        return CheckReport.make("sheet_representation_2d", worst, 5.0, details)
 
-    for fn, label in ((dirac_markov, "mc.dirac_markov"), (dirac_exact, "mc.dirac_exact"),
-                      (dirac_agreement, "mc.dirac_agreement"), (stationary_markov, "mc.stationary_markov"),
-                      (sheet_1d, "mc.sheet_reduction_1d"), (sheet_2d, "mc.sheet_representation_2d")):
-        fn.check_label = label
-        thunks.append(fn)
-    return thunks
+    return [("mc.dirac_markov", dirac_markov), ("mc.dirac_exact", dirac_exact),
+            ("mc.dirac_agreement", dirac_agreement), ("mc.stationary_markov", stationary_markov),
+            ("mc.sheet_reduction_1d", sheet_1d), ("mc.sheet_representation_2d", sheet_2d)]
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("SIOU_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SIOU_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+def run_suite(which: str, seed: RngSeed, cov_fn: CovFn = cov_matrix) -> list[CheckReport]:
+    """Run a named check suite serially and return one report per check, in a stable order.
 
-
-def run_suite(which: str, seed: RngSeed, threads: int | None = None,
-              cov_fn: CovFn | None = None) -> list[CheckReport]:
-    """Run a named check suite and return one report per check, in a stable order.
-
-    ``which`` is "deterministic", "mc" or "all". Checks may run on a
-    thread pool (capped by ``threads`` or the SIOU_THREADS environment
-    variable); each owns a derived seed stream, so results do not depend
-    on scheduling.
+    ``which`` is "deterministic", "mc" or "all"; ``cov_fn`` replaces the
+    covariance of the deterministic checks. Each report is named by its
+    check's label. A check that raises a package error or a LinAlgError
+    becomes a failing report under its label, so one broken route does
+    not hide the others.
     """
-    thunks: list[Callable[[], CheckReport]] = []
+    checks: list[LabelledCheck] = []
     if which in ("deterministic", "all"):
-        thunks.extend(build_deterministic_checks(seed, cov_fn=cov_fn))
+        checks += build_deterministic_checks(seed, cov_fn=cov_fn)
     if which in ("mc", "all"):
-        thunks.extend(build_mc_checks(seed.child(10_000)))
-    if not thunks:
+        checks += build_mc_checks(seed.child(10_000))
+    if not checks:
         raise ConfigError(f"unknown suite {which!r}; pick deterministic, mc or all")
-
-    def guarded(thunk: Callable[[], CheckReport]) -> CheckReport:
-        label = getattr(thunk, "check_label", "unnamed")
+    reports = []
+    for label, thunk in checks:
         try:
-            return thunk()
+            reports.append(replace(thunk(), name=label))
         except (SiouError, np.linalg.LinAlgError) as exc:
-            return CheckReport.make(label, BIG_STATISTIC, 0.0, f"errored {type(exc).__name__}: {exc}")
-
-    workers = _resolve_threads(threads)
-    if workers == 1:
-        return [guarded(t) for t in thunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, thunks))
+            reports.append(CheckReport.make(label, BIG_STATISTIC, 0.0, f"errored {type(exc).__name__}: {exc}"))
+    return reports
 
 
 def negative_control_reports(seed: RngSeed) -> list[CheckReport]:

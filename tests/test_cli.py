@@ -255,6 +255,18 @@ def test_verify_stdout_is_json_when_no_path(capsys):
     assert "PASS" in err
 
 
+# SHA-256 of the `siou verify --suite deterministic --seed 7 --json` report.
+# Any change in a check's draws, statistic, label or order changes it.
+GOLDEN_VERIFY_DETERMINISTIC = "e41adc6921ac4e8a93bc3c00500f2242a1c529ffc4edae77c68fe970ba1cb10b"
+
+
+def test_verify_report_matches_golden_digest(tmp_path, capsys):
+    json_path = tmp_path / "v.json"
+    code, _, _ = run_cli(["verify", "--suite", "deterministic", "--seed", "7", "--json", str(json_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == GOLDEN_VERIFY_DETERMINISTIC
+
+
 def test_verify_requires_seed():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "deterministic"])
@@ -271,6 +283,29 @@ def test_missing_config_file(tmp_path, capsys):
     code, _, err = run_cli(["kernel", "--config", str(tmp_path / "absent.json")], capsys)
     assert code == 2
     assert "cannot read config" in err
+
+
+def _outputs(tmp_path):
+    return ["--csv", str(tmp_path / "x.csv"), "--json", str(tmp_path / "x.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["verify", "--suite", "mc", "--seed", "-3"],
+    lambda tmp: ["sample", "--config", sample_config(tmp, seed={"seed": "x"}), *_outputs(tmp)],
+    lambda tmp: ["kernel", "--config", write_config(tmp, "k.json", {
+        **KERNEL_BASE, "kernel": {"lambda": "abc", "sigma": 1.0}, "op": "cov_stationary",
+        "u": [1.0, 1.0], "v": [1.0, 2.0]})],
+    lambda tmp: ["sample", "--config", sample_config(tmp, replicates="ten"), *_outputs(tmp)],
+    lambda tmp: ["sample", "--config", sample_config(tmp, initial={"kind": "dirac"}), *_outputs(tmp)],
+    lambda tmp: ["kernel", "--config", write_config(tmp, "k.json", {
+        **KERNEL_BASE, "op": "mean_dirac", "u": [1.0, 1.0]})],
+    lambda tmp: ["sheet", "--config", sheet_config(tmp, mode="dirac", y0="z"), *_outputs(tmp)],
+], ids=["negative_seed", "string_seed", "string_lambda", "string_replicates", "dirac_without_x0",
+        "mean_dirac_without_x0", "string_y0"])
+def test_malformed_input_is_a_configuration_error(tmp_path, capsys, argv):
+    code, _, err = run_cli(argv(tmp_path), capsys)
+    assert code == 2
+    assert "configuration error" in err
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

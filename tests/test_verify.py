@@ -164,16 +164,10 @@ def test_zero_variance_component_scores_zero():
 
 
 def test_run_suite_deterministic_all_pass_with_unique_labels():
-    reports = run_suite("deterministic", RngSeed(42), threads=2)
+    reports = run_suite("deterministic", RngSeed(42))
     assert reports and all(r.passed for r in reports)
     names = [r.name for r in reports]
     assert len(names) == len(set(names))
-
-
-def test_run_suite_thread_count_does_not_change_reports():
-    a = run_suite("deterministic", RngSeed(3), threads=1)
-    b = run_suite("deterministic", RngSeed(3), threads=4)
-    assert [(r.name, r.statistic) for r in a] == [(r.name, r.statistic) for r in b]
 
 
 def test_run_suite_rejects_unknown_name():
@@ -187,9 +181,21 @@ def test_errored_check_keeps_its_label_and_fails():
     def explode(params, A, B=None):
         raise np.linalg.LinAlgError("boom")
 
-    reports = run_suite("deterministic", RngSeed(5), threads=1, cov_fn=explode)
+    reports = run_suite("deterministic", RngSeed(5), cov_fn=explode)
     assert all(not r.passed for r in reports)
-    assert all(r.name != "unnamed" for r in reports)
+    assert all(r.details.startswith("errored LinAlgError") for r in reports)
+    assert [r.name for r in reports] == [r.name for r in run_suite("deterministic", RngSeed(5))]
+
+
+def test_a_check_with_nothing_to_examine_raises():
+    with pytest.raises(ConfigError):
+        check_psd(P, 0, RngSeed(1))
+    with pytest.raises(ConfigError):
+        check_kernel_schur(P, 2, 0, RngSeed(1))
+    with pytest.raises(ConfigError):
+        check_markov_orthogonality(P, 2, 0, RngSeed(1))
+    with pytest.raises(ConfigError):
+        check_continuity(P, [], 1e-8)
 
 
 def _loop_zscores(values, theory, other=None, allowance=0.0):
