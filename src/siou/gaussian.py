@@ -4,7 +4,11 @@ Sampling is deterministic by construction. A (seed, stream) pair addresses
 a Philox counter-based bit generator through numpy's SeedSequence, and
 standard normals come from the Generator's ziggurat implementation, which
 is stable across runs on a given platform. Parallel consumers should take
-distinct stream values rather than partitioning one stream.
+distinct stream values rather than partitioning one stream. A stream also
+splits into numbered substreams (``RngSeed.substream``), child b of the
+stream's SeedSequence. The sheet sampler draws replicate block b from
+substream b, so its output does not depend on how many threads fill the
+blocks.
 
 Factorization is Cholesky, with a rank-deficient pass that skips exactly
 zero pivots (so degenerate components sample as constants) and a short
@@ -46,6 +50,15 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+        return np.random.Generator(np.random.Philox(ss))
+
+    def substream(self, index: int) -> np.random.Generator:
+        """Generator of substream ``index`` of this stream.
+
+        Its seed is ``SeedSequence(entropy=seed, spawn_key=(stream,)).spawn(n)[index]``
+        for any n > index, so substream b is the same however many a caller uses.
+        """
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, index))
         return np.random.Generator(np.random.Philox(ss))
 
     def child(self, offset: int) -> "RngSeed":

@@ -68,6 +68,8 @@ class MeasureSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "MeasureSpec":
+        if not isinstance(data, dict):
+            raise InvalidGeometryError(f"a measure must be a JSON object, got {data!r}")
         if data.get("kind") == "axis":
             return cls.axis(data["alpha"])
         if data.get("kind") == "lebesgue":

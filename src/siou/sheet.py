@@ -20,8 +20,13 @@ lower corner should be chosen.
 ``batch_paths`` draws noise only on the support: the cells, in C order,
 whose center lies in some point's integration region. Each of its rows
 consumes one normal per support cell, so a row equals the integrals of a
-``sheet_increments`` field of the same seed in law, and draw for draw only
-when the support is the whole grid.
+``sheet_increments`` field of the same seed in law, and draw for draw
+(row 0 against the field) only when the support is the whole grid.
+Replicates are drawn in blocks of ``BLOCK_ROWS`` rows, block b from
+substream b of the seed's stream (``RngSeed.substream``), and the blocks
+are filled by a thread pool with one worker per usable CPU. The output
+depends only on the seed and this block layout, never on the number of
+workers or their scheduling; ``sheet_increments`` draws from substream 0.
 
 Restricted to rectangles [0, t] with t >= 0, the stationary integral is a
 set-indexed OU field in law for the axis measure with weights alpha, unit
@@ -36,6 +41,7 @@ representation checks compare against.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +63,11 @@ __all__ = [
     "equivalent_kernel_params",
     "batch_paths",
 ]
+
+# batch_paths draws block b of this many replicate rows from substream b.
+BLOCK_ROWS = 64
+# Most replicate rows whose normals the workers of one batch_paths call hold at once.
+MAX_ROWS_IN_FLIGHT = 512
 
 
 @dataclass(frozen=True)
@@ -128,8 +139,12 @@ class SheetField:
 
 
 def sheet_increments(spec: GridSpec, seed: RngSeed) -> SheetField:
-    """Draw the grid's white-noise increments, one Normal(0, cell volume) per cell."""
-    z = seed.generator().standard_normal(spec.steps)
+    """Draw the grid's white-noise increments, one Normal(0, cell volume) per cell.
+
+    The normals come from substream 0 in C order, as row 0 of ``batch_paths``
+    draws them when its support is the whole grid.
+    """
+    z = seed.substream(0).standard_normal(spec.steps)
     return SheetField(spec, z * math.sqrt(spec.cell_volume), seed)
 
 
@@ -139,7 +154,7 @@ def _check_alpha(alpha, dim: int | None = None) -> np.ndarray:
     if dim is not None and a.size != dim:
         raise InvalidGridError(f"alpha has {a.size} entries but the grid has dimension {dim}")
     if a.size == 0 or np.any(~np.isfinite(a)) or np.any(a <= 0):
-        raise InvalidGridError(f"alpha must be finite and positive, got {tuple(a)}")
+        raise InvalidGridError(f"alpha must be finite and positive, got {tuple(a.tolist())}")
     return a
 
 
@@ -220,8 +235,18 @@ def equivalent_kernel_params(alpha, sigma: float) -> KernelParams:
     return KernelParams(lam=1.0, sigma=sigma_eff, measure=MeasureSpec.axis(tuple(a)))
 
 
+def _worker_count(blocks: int) -> int:
+    """Threads for ``blocks`` replicate blocks: one per usable CPU, at most one per
+    block, and few enough that at most MAX_ROWS_IN_FLIGHT rows are drawn at once."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks, MAX_ROWS_IN_FLIGHT // BLOCK_ROWS))
+
+
 def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, seed: RngSeed,
-                y0: float = 0.0, stationary: bool = False, chunk: int = 512) -> np.ndarray:
+                y0: float = 0.0, stationary: bool = False) -> np.ndarray:
     """Many independent sheet realizations evaluated at several points at once.
 
     Returns a (replicates, len(points)) array whose row r holds the
@@ -229,19 +254,30 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
     r-th independent sheet. Noise is drawn only on the support cells, in C
     order: each row consumes one normal per support cell, so it equals the
     integrate_* values of a ``sheet_increments`` field of the same seed in
-    law, and draw for draw only when the support is the whole grid. The
-    replicates stream through one generator in fixed-size chunks; the noise
-    consumed per row does not depend on the chunk size, so repeated calls
-    with the same arguments are bit-identical and different chunk sizes
-    agree to floating-point rounding.
+    law, and draw for draw only when the support is the whole grid.
+
+    Rows [64 b, 64 b + 64) form block b (``BLOCK_ROWS``), drawn from
+    ``seed.substream(b)``; a thread pool fills the blocks, each worker
+    writing ``drift + einsum(z, W.T)`` into its own rows. einsum without
+    ``optimize`` calls no BLAS routine, so the product starts no BLAS
+    threads. The output depends only on the arguments and this block
+    layout: it is bit-identical for any worker count, and a run's first
+    64 k rows equal those of any longer run with the same seed.
     """
+    # Imported here: concurrent.futures loads logging, about 7 ms that only sheet sampling needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     support, W, drift = _cell_weights(spec, alpha, sigma, points, y0, stationary)
-    W *= math.sqrt(spec.cell_volume)
-    out = np.empty((replicates, W.shape[1]))
-    gen = seed.generator()
-    done = 0
-    while done < replicates:
-        take = min(chunk, replicates - done)
-        out[done : done + take] = drift + gen.standard_normal((take, support.size)) @ W
-        done += take
+    Wt = np.ascontiguousarray(W.T) * math.sqrt(spec.cell_volume)
+    out = np.empty((replicates, Wt.shape[0]))
+
+    def fill(block: int) -> None:
+        rows = out[block * BLOCK_ROWS : (block + 1) * BLOCK_ROWS]
+        z = seed.substream(block).standard_normal((len(rows), support.size))
+        np.einsum("rc,pc->rp", z, Wt, out=rows)
+        rows += drift
+
+    blocks = -(-replicates // BLOCK_ROWS)
+    with ThreadPoolExecutor(_worker_count(blocks)) as pool:
+        list(pool.map(fill, range(blocks)))
     return out

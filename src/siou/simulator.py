@@ -110,6 +110,8 @@ class InitialLaw:
 
     @classmethod
     def from_json(cls, data: dict) -> "InitialLaw":
+        if not isinstance(data, dict):
+            raise ConfigError(f"an initial law must be a JSON object, got {data!r}")
         kind = data.get("kind")
         if kind == "dirac":
             return cls.dirac(data["x0"])

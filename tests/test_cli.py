@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +201,19 @@ def test_sheet_bad_mode(tmp_path, capsys):
     assert "mode" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"alpha": [-1.0]}, "alpha must be finite and positive, got (-1.0,)"),
+    ({"points": [[0.5], [1.5]]}, "outside the grid upper corner"),
+])
+def test_sheet_bad_alpha_or_point_is_a_configuration_error(tmp_path, capsys, extra, message):
+    cfg = sheet_config(tmp_path, **extra)
+    code, _, err = run_cli(["sheet", "--config", cfg, *_outputs(tmp_path)], capsys)
+    assert code == 2
+    assert "configuration error" in err
+    assert message in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_sheet_needs_two_replicates(tmp_path, capsys):
     # One replicate leaves the empirical covariance undefined (NaN in the JSON).
     cfg = sheet_config(tmp_path, replicates=1)
@@ -300,8 +315,11 @@ def _outputs(tmp_path):
     lambda tmp: ["kernel", "--config", write_config(tmp, "k.json", {
         **KERNEL_BASE, "op": "mean_dirac", "u": [1.0, 1.0]})],
     lambda tmp: ["sheet", "--config", sheet_config(tmp, mode="dirac", y0="z"), *_outputs(tmp)],
+    lambda tmp: ["kernel", "--config", write_config(tmp, "k.json", {
+        **KERNEL_BASE, "measure": "lebesgue", "op": "cov_stationary", "u": [1.0, 1.0], "v": [1.0, 2.0]})],
+    lambda tmp: ["sample", "--config", sample_config(tmp, initial=[1]), *_outputs(tmp)],
 ], ids=["negative_seed", "string_seed", "string_lambda", "string_replicates", "dirac_without_x0",
-        "mean_dirac_without_x0", "string_y0"])
+        "mean_dirac_without_x0", "string_y0", "string_measure", "list_initial"])
 def test_malformed_input_is_a_configuration_error(tmp_path, capsys, argv):
     code, _, err = run_cli(argv(tmp_path), capsys)
     assert code == 2
@@ -321,9 +339,11 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # The child does not inherit pytest's pythonpath setting, so hand it the source tree.
+    src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "siou", "frontier", "--a", "1,1", "--b", "1,1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["results"] == [{"corner": [1.0, 1.0], "sign": 1}]

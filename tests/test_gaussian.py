@@ -188,3 +188,12 @@ def test_schur_route_matches_dense_solve():
         want_cov = cov[np.ix_(free, free)] - kmat @ cov[np.ix_(obs, free)]
         np.testing.assert_allclose(post.mean, want_mean, atol=1e-10)
         np.testing.assert_allclose(post.cov, want_cov, atol=1e-10)
+
+
+def test_substreams_are_children_of_the_stream_seed_sequence():
+    parent = np.random.SeedSequence(entropy=31, spawn_key=(4,))
+    children = parent.spawn(6)
+    for b in (0, 5):
+        want = np.random.Generator(np.random.Philox(children[b])).standard_normal(8)
+        np.testing.assert_array_equal(RngSeed(31, 4).substream(b).standard_normal(8), want)
+    assert not np.array_equal(RngSeed(31, 4).substream(0).standard_normal(8), RngSeed(31, 4).generator().standard_normal(8))

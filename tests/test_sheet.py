@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from siou.gaussian import RngSeed
 from siou.geometry import Corner
 from siou.kernel import cov_stationary
 from siou.measures import MeasureSpec
+from siou import sheet
 from siou.sheet import (
     GridSpec,
     SheetField,
@@ -136,22 +140,69 @@ def test_alpha_checks_agree_across_the_sheet_api(alpha):
             batch_paths(GRID_2D, alpha, 1.0, [(0.5, 0.5)], 10, RngSeed(1))
 
 
-def test_batch_paths_reproducible_and_chunk_transparent():
-    pts = [(0.25, 0.25), (0.5, 1.0), (1.0, 1.0)]
-    a = batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, RngSeed(9), chunk=64)
-    again = batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, RngSeed(9), chunk=64)
-    np.testing.assert_array_equal(a, again)
-    # a different chunk size consumes the same noise stream; only the
-    # matmul blocking changes, so values agree to rounding
-    b = batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, RngSeed(9), chunk=512)
-    assert a.shape == (300, 3)
-    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+PTS_2D = [(0.25, 0.25), (0.5, 1.0), (1.0, 1.0)]
+
+
+def _with_workers(monkeypatch, n):
+    monkeypatch.setattr(sheet, "_worker_count", lambda blocks: n)
+
+
+def test_batch_paths_bit_identical_for_any_worker_count(monkeypatch):
+    runs = []
+    for n in (1, 2, 8):
+        _with_workers(monkeypatch, n)
+        runs.append(batch_paths(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 300, RngSeed(9), y0=0.2))
+    assert runs[0].shape == (300, 3)
+    for other in runs[1:]:
+        np.testing.assert_array_equal(runs[0], other)
+    # block 0 is drift + einsum(z, W.T) over the first 64 rows of substream 0, bit for bit
+    support, W, drift = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 0.2)
+    z = RngSeed(9).substream(0).standard_normal((sheet.BLOCK_ROWS, support.size))
+    wt = np.ascontiguousarray(W.T) * math.sqrt(GRID_2D.cell_volume)
+    np.testing.assert_array_equal(runs[0][: sheet.BLOCK_ROWS], drift + np.einsum("rc,pc->rp", z, wt))
+
+
+def test_batch_paths_prefix_does_not_depend_on_the_replicate_count():
+    short = batch_paths(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 300, RngSeed(9))
+    long = batch_paths(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 600, RngSeed(9))
+    # blocks 0-3 are whole in both runs
+    np.testing.assert_array_equal(short[:256], long[:256])
+
+
+def test_more_workers_than_cores_with_a_short_switch_interval_match_one_worker(monkeypatch):
+    workers = 2 * (os.cpu_count() or 1) + 1
+    replicates = 3 * workers * sheet.BLOCK_ROWS
+    args = (GRID_2D, (1.0, 2.0), 0.8, PTS_2D, replicates, RngSeed(16))
+    _with_workers(monkeypatch, 1)
+    want = batch_paths(*args)
+    _with_workers(monkeypatch, workers)
+    runner = ThreadPoolExecutor(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = runner.submit(batch_paths, *args).result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        runner.shutdown(wait=False)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_worker_count_follows_the_cpu_affinity_within_its_caps(monkeypatch):
+    monkeypatch.setattr(sheet.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert sheet._worker_count(100) == sheet.MAX_ROWS_IN_FLIGHT // sheet.BLOCK_ROWS
+    assert sheet._worker_count(3) == 3
+    assert sheet._worker_count(0) == 1
+    monkeypatch.setattr(sheet.os, "sched_getaffinity", lambda pid: {0})
+    assert sheet._worker_count(100) == 1
+    monkeypatch.delattr(sheet.os, "sched_getaffinity")
+    monkeypatch.setattr(sheet.os, "cpu_count", lambda: 2)
+    assert sheet._worker_count(100) == 2
 
 
 def _field_from_support_draws(spec, support, seed, junk=1e6):
     """The field row 0 of batch_paths sees: its draws on the support, junk elsewhere."""
     flat = np.full(spec.ncells, junk)
-    flat[support] = seed.generator().standard_normal((1, support.size))[0] * math.sqrt(spec.cell_volume)
+    flat[support] = seed.substream(0).standard_normal((1, support.size))[0] * math.sqrt(spec.cell_volume)
     return SheetField(spec, flat.reshape(spec.steps), seed)
 
 
@@ -180,7 +231,7 @@ def test_steep_alpha_dirac_paths_stay_finite():
     rows = batch_paths(spec, alpha, 1.0, [pt], 3, RngSeed(1), y0=0.5)
     assert np.all(np.isfinite(rows))
     support, _, _ = _cell_weights(spec, alpha, 1.0, [pt], 0.5)
-    draws = RngSeed(1).generator().standard_normal((3, support.size)) * math.sqrt(spec.cell_volume)
+    draws = RngSeed(1).substream(0).standard_normal((3, support.size)) * math.sqrt(spec.cell_volume)
     for r in range(3):
         flat = np.zeros(spec.ncells)
         flat[support] = draws[r]
@@ -197,27 +248,38 @@ def test_whole_grid_support_draws_the_full_grid_noise():
     assert np.array_equal(support, np.arange(GRID_2D.ncells))
     rows = batch_paths(GRID_2D, (1.0, 2.0), 1.0, pts, 1, RngSeed(13), stationary=True)
     f = sheet_increments(GRID_2D, RngSeed(13))
+    z = RngSeed(13).substream(0).standard_normal(GRID_2D.steps)
+    np.testing.assert_array_equal(f.increments, z * math.sqrt(GRID_2D.cell_volume))
     for j, t in enumerate(pts):
         want = integrate_stationary(f, (1.0, 2.0), 1.0, t)
         assert abs(rows[0, j] - want) <= 1e-10 * (1.0 + abs(want))
 
 
 class _CountingSeed:
-    """Stands in for RngSeed and counts the normals drawn from its generator."""
+    """Stands in for RngSeed and counts the normals drawn from its substreams."""
 
     def __init__(self, seed):
-        self.seed, self.drawn = seed, 0
+        self.seed, self.counters, self.blocks = seed, [], []
 
-    def generator(self):
-        gen = self.seed.generator()
-        outer = self
+    @property
+    def drawn(self):
+        return sum(c.drawn for c in self.counters)
+
+    def substream(self, index):
+        gen = self.seed.substream(index)
 
         class Counting:
+            drawn = 0
+
             def standard_normal(self, size):
-                outer.drawn += int(np.prod(size))
+                self.drawn += int(np.prod(size))
                 return gen.standard_normal(size)
 
-        return Counting()
+        # list.append is atomic, and each counter is only touched by the worker that owns it
+        counter = Counting()
+        self.blocks.append(index)
+        self.counters.append(counter)
+        return counter
 
 
 def test_dirac_points_at_the_origin_return_y0_and_draw_nothing():
@@ -231,9 +293,10 @@ def test_dirac_points_at_the_origin_return_y0_and_draw_nothing():
 def test_support_draws_count_one_normal_per_support_cell():
     pts = [(0.5, 0.5), (1.0, 0.25)]
     seed = _CountingSeed(RngSeed(15))
-    batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, seed, chunk=128)
+    batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, seed)
     support, W, _ = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, pts)
     assert seed.drawn == 300 * support.size
+    assert sorted(seed.blocks) == list(range(5))
     assert W.shape == (support.size, 2)
 
 
