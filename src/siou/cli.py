@@ -29,7 +29,7 @@ from .gaussian import RngSeed
 from .geometry import Corner, Increment, canonicalize, frontier
 from .kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac, transition_params
 from .measures import MeasureSpec
-from .sheet import GridSpec, _check_alpha, _check_point, batch_paths, equivalent_kernel_params
+from .sheet import GridSpec, _check_alpha, _check_point, _check_sigma, batch_paths, equivalent_kernel_params
 from .simulator import InitialLaw, plan, simulate
 from .verify import run_suite, theory_dirac, theory_stationary
 
@@ -210,7 +210,7 @@ def _cmd_sheet(args) -> int:
     with _config_phase():
         grid = GridSpec(tuple(cfg["grid"]["lower"]), tuple(cfg["grid"]["upper"]), tuple(cfg["grid"]["steps"]))
         alpha = tuple(float(a) for a in cfg["alpha"])
-        sigma = float(cfg["sigma"])
+        sigma = _check_sigma(cfg["sigma"])
         _check_alpha(alpha, grid.dim)
         points = [_corner(p, grid.dim) for p in cfg["points"]]
         for p in points:

@@ -5,10 +5,11 @@ a Philox counter-based bit generator through numpy's SeedSequence, and
 standard normals come from the Generator's ziggurat implementation, which
 is stable across runs on a given platform. Parallel consumers should take
 distinct stream values rather than partitioning one stream. A stream also
-splits into numbered substreams (``RngSeed.substream``), child b of the
-stream's SeedSequence. The sheet sampler draws replicate block b from
-substream b, so its output does not depend on how many threads fill the
-blocks.
+splits into numbered substreams (``RngSeed.substream``): SFC64 generators
+seeded by the children of the stream's SeedSequence, which need nothing of
+Philox's counter design and draw normals in about two thirds of its time.
+The sheet sampler draws replicate block b from substream b, so its output
+does not depend on how many threads fill the blocks.
 
 Factorization is Cholesky, with a rank-deficient pass that skips exactly
 zero pivots (so degenerate components sample as constants) and a short
@@ -53,13 +54,15 @@ class RngSeed:
         return np.random.Generator(np.random.Philox(ss))
 
     def substream(self, index: int) -> np.random.Generator:
-        """Generator of substream ``index`` of this stream.
+        """SFC64 generator of substream ``index`` of this stream.
 
         Its seed is ``SeedSequence(entropy=seed, spawn_key=(stream,)).spawn(n)[index]``
         for any n > index, so substream b is the same however many a caller uses.
+        SFC64, not Philox: the SeedSequence child already makes the substream
+        independent, and SFC64 draws normals faster.
         """
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, index))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.SFC64(ss))
 
     def child(self, offset: int) -> "RngSeed":
         """Seed for an independent stream, offset from this one."""

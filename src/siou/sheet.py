@@ -23,10 +23,11 @@ consumes one normal per support cell, so a row equals the integrals of a
 ``sheet_increments`` field of the same seed in law, and draw for draw
 (row 0 against the field) only when the support is the whole grid.
 Replicates are drawn in blocks of ``BLOCK_ROWS`` rows, block b from
-substream b of the seed's stream (``RngSeed.substream``), and the blocks
-are filled by a thread pool with one worker per usable CPU. The output
-depends only on the seed and this block layout, never on the number of
-workers or their scheduling; ``sheet_increments`` draws from substream 0.
+substream b of the seed's stream (``RngSeed.substream``, SFC64 because
+the normal draws are most of the time), and the blocks are filled by a
+thread pool with one worker per usable CPU. The output depends only on
+the seed and this block layout, never on the number of workers or their
+scheduling; ``sheet_increments`` draws from substream 0.
 
 Restricted to rectangles [0, t] with t >= 0, the stationary integral is a
 set-indexed OU field in law for the axis measure with weights alpha, unit
@@ -47,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidGridError, OutOfRangeError
+from .errors import ConfigError, InvalidGridError, OutOfRangeError
 from .gaussian import RngSeed
 from .geometry import Corner
 from .kernel import KernelParams
@@ -158,6 +159,14 @@ def _check_alpha(alpha, dim: int | None = None) -> np.ndarray:
     return a
 
 
+def _check_sigma(sigma) -> float:
+    """Sigma as a float that is finite and positive."""
+    s = float(sigma)
+    if not (math.isfinite(s) and s > 0):
+        raise InvalidGridError(f"sigma must be finite and positive, got {s}")
+    return s
+
+
 def _check_point(spec: GridSpec, t: Corner | tuple) -> np.ndarray:
     if not isinstance(t, Corner):
         t = Corner(tuple(t))
@@ -183,6 +192,7 @@ def _cell_weights(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
     A point's value is ``drift + dW[support] @ W``.
     """
     a = _check_alpha(alpha, spec.dim)
+    sigma = _check_sigma(sigma)
     tvs = np.array([_check_point(spec, t) for t in points], dtype=float).reshape(-1, spec.dim)
     centers = _centers_flat(spec)
     inside = np.all(centers[:, None, :] <= tvs[None, :, :], axis=2)
@@ -231,6 +241,7 @@ def equivalent_kernel_params(alpha, sigma: float) -> KernelParams:
     scale solving sigma_eff^2 = sigma^2 * 2^(1 - N) / prod(alpha).
     """
     a = _check_alpha(alpha)
+    sigma = _check_sigma(sigma)
     sigma_eff = math.sqrt(sigma**2 * 2.0 ** (1 - a.size) / float(a.prod()))
     return KernelParams(lam=1.0, sigma=sigma_eff, measure=MeasureSpec.axis(tuple(a)))
 
@@ -257,16 +268,19 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
     law, and draw for draw only when the support is the whole grid.
 
     Rows [64 b, 64 b + 64) form block b (``BLOCK_ROWS``), drawn from
-    ``seed.substream(b)``; a thread pool fills the blocks, each worker
-    writing ``drift + einsum(z, W.T)`` into its own rows. einsum without
-    ``optimize`` calls no BLAS routine, so the product starts no BLAS
-    threads. The output depends only on the arguments and this block
-    layout: it is bit-identical for any worker count, and a run's first
-    64 k rows equal those of any longer run with the same seed.
+    ``seed.substream(b)``, an SFC64 generator; a thread pool fills the
+    blocks, each worker writing ``drift + einsum(z, W.T)`` into its own
+    rows. einsum without ``optimize`` calls no BLAS routine, so the
+    product starts no BLAS threads. The output depends only on the
+    arguments and this block layout: it is bit-identical for any worker
+    count, and a run's first 64 k rows equal those of any longer run
+    with the same seed.
     """
     # Imported here: concurrent.futures loads logging, about 7 ms that only sheet sampling needs.
     from concurrent.futures import ThreadPoolExecutor
 
+    if replicates < 1:
+        raise ConfigError(f"need at least one replicate, got {replicates}")
     support, W, drift = _cell_weights(spec, alpha, sigma, points, y0, stationary)
     Wt = np.ascontiguousarray(W.T) * math.sqrt(spec.cell_volume)
     out = np.empty((replicates, Wt.shape[0]))

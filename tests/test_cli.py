@@ -214,6 +214,19 @@ def test_sheet_bad_alpha_or_point_is_a_configuration_error(tmp_path, capsys, ext
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("sigma, shown", [(math.nan, "nan"), (math.inf, "inf"), (0.0, "0.0"), (-1.0, "-1.0")])
+def test_sheet_bad_sigma_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, sigma, shown):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("batch_paths ran")
+
+    monkeypatch.setattr("siou.cli.batch_paths", no_draws)
+    cfg = sheet_config(tmp_path, sigma=sigma)
+    code, _, err = run_cli(["sheet", "--config", cfg, *_outputs(tmp_path)], capsys)
+    assert code == 2
+    assert f"configuration error: sigma must be finite and positive, got {shown}" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_sheet_needs_two_replicates(tmp_path, capsys):
     # One replicate leaves the empirical covariance undefined (NaN in the JSON).
     cfg = sheet_config(tmp_path, replicates=1)

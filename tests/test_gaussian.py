@@ -194,6 +194,8 @@ def test_substreams_are_children_of_the_stream_seed_sequence():
     parent = np.random.SeedSequence(entropy=31, spawn_key=(4,))
     children = parent.spawn(6)
     for b in (0, 5):
-        want = np.random.Generator(np.random.Philox(children[b])).standard_normal(8)
+        want = np.random.Generator(np.random.SFC64(children[b])).standard_normal(8)
         np.testing.assert_array_equal(RngSeed(31, 4).substream(b).standard_normal(8), want)
     assert not np.array_equal(RngSeed(31, 4).substream(0).standard_normal(8), RngSeed(31, 4).generator().standard_normal(8))
+    # the golden sample and verify digests pin the stream generator's bytes
+    assert isinstance(RngSeed(31, 4).generator().bit_generator, np.random.Philox)

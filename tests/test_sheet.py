@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siou.errors import InvalidGridError, OutOfRangeError
+from siou.errors import ConfigError, InvalidGridError, OutOfRangeError
 from siou.gaussian import RngSeed
 from siou.geometry import Corner
 from siou.kernel import cov_stationary
@@ -138,6 +138,25 @@ def test_alpha_checks_agree_across_the_sheet_api(alpha):
     if len(alpha) == 2:
         with pytest.raises(InvalidGridError):
             batch_paths(GRID_2D, alpha, 1.0, [(0.5, 0.5)], 10, RngSeed(1))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+def test_sigma_must_be_finite_and_positive(sigma):
+    f = sheet_increments(GRID_1D, RngSeed(1))
+    with pytest.raises(InvalidGridError, match="sigma must be finite and positive"):
+        batch_paths(GRID_1D, (1.0,), sigma, [(0.5,)], 10, RngSeed(1))
+    with pytest.raises(InvalidGridError):
+        integrate_mpou(f, (1.0,), sigma, 0.3, Corner((0.5,)))
+    with pytest.raises(InvalidGridError):
+        integrate_stationary(f, (1.0,), sigma, Corner((0.5,)))
+    with pytest.raises(InvalidGridError):
+        equivalent_kernel_params((1.0,), sigma)
+
+
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_batch_paths_needs_at_least_one_replicate(replicates):
+    with pytest.raises(ConfigError, match=f"need at least one replicate, got {replicates}"):
+        batch_paths(GRID_1D, (1.0,), 1.0, [(0.5,)], replicates, RngSeed(1))
 
 
 PTS_2D = [(0.25, 0.25), (0.5, 1.0), (1.0, 1.0)]

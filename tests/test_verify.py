@@ -1,6 +1,9 @@
 """Self-check suite: each check passes the real kernel and catches a corrupted one."""
 
+import hashlib
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from siou.verify import (
     BIG_STATISTIC,
     CheckReport,
     FlowSpec,
+    build_mc_checks,
     check_continuity,
     check_flow_projection,
     check_kernel_schur,
@@ -185,6 +189,31 @@ def test_errored_check_keeps_its_label_and_fails():
     assert all(not r.passed for r in reports)
     assert all(r.details.startswith("errored LinAlgError") for r in reports)
     assert [r.name for r in reports] == [r.name for r in run_suite("deterministic", RngSeed(5))]
+
+
+# SHA-256 of the JSON of the four non-sheet mc reports of `siou verify --suite mc
+# --seed 42`. They draw from RngSeed.generator (Philox), not from substreams.
+GOLDEN_MC_NON_SHEET = "d7110acdc71b00fd31374bd7c7c4a9131f613b134355e3d59a1e5da29e571f6a"
+
+
+def _mc_non_sheet_checks():
+    return [(label, thunk) for label, thunk in build_mc_checks(RngSeed(42).child(10_000))
+            if not label.startswith("mc.sheet")]
+
+
+def test_mc_non_sheet_reports_match_golden_digest():
+    reports = [replace(thunk(), name=label).to_json() for label, thunk in _mc_non_sheet_checks()]
+    assert [r["name"] for r in reports] == ["mc.dirac_markov", "mc.dirac_exact", "mc.dirac_agreement",
+                                            "mc.stationary_markov"]
+    text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC_NON_SHEET
+
+
+def test_mc_agreement_run_on_its_own_draws_the_paths_the_suite_shares():
+    checks = _mc_non_sheet_checks()
+    in_order = {label: thunk() for label, thunk in checks}
+    alone = dict(_mc_non_sheet_checks())["mc.dirac_agreement"]()
+    assert alone == in_order["mc.dirac_agreement"]
 
 
 def test_a_check_with_nothing_to_examine_raises():
