@@ -213,6 +213,8 @@ def _cmd_sheet(args) -> int:
         sigma = _check_sigma(cfg["sigma"])
         _check_alpha(alpha, grid.dim)
         points = [_corner(p, grid.dim) for p in cfg["points"]]
+        if not points:
+            raise ConfigError("a sheet needs at least one point")
         for p in points:
             _check_point(grid, p)
         mode = cfg.get("mode", "stationary")

@@ -11,12 +11,19 @@ Philox's counter design and draw normals in about two thirds of its time.
 The sheet sampler draws replicate block b from substream b, so its output
 does not depend on how many threads fill the blocks.
 
-Factorization is Cholesky, with a rank-deficient pass that skips exactly
-zero pivots (so degenerate components sample as constants) and a short
-jitter ladder of 1e-12, 1e-10 and 1e-8 times the largest diagonal entry
-for matrices that are indefinite only through roundoff. Matrices that fail
-the whole ladder are reported as not positive semidefinite together with
-their most negative eigenvalue (the offending pivot scale).
+Factorization is Cholesky. Exactly zero rows (a point start's origin, and
+axis corners under the Lebesgue measure) are deflated: LAPACK factors the
+rest and those rows of the factor stay 0, so degenerate components sample
+as constants. Other singular matrices go through a rank-deficient pass that
+skips exactly zero pivots, and a short jitter ladder of 1e-12, 1e-10 and
+1e-8 times the largest diagonal entry catches matrices that are indefinite
+only through roundoff. Matrices that fail the whole ladder are reported as
+not positive semidefinite together with their most negative eigenvalue (the
+offending pivot scale).
+
+:func:`sample` streams: it draws ``SAMPLE_BLOCK_ROWS`` rows of normals at a
+time and writes their product with the factor straight into the output, so
+it holds the output plus one block.
 """
 
 from __future__ import annotations
@@ -30,10 +37,13 @@ from .errors import NotPSDError
 
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
+# Rows of normals :func:`sample` draws and multiplies at a time.
+SAMPLE_BLOCK_ROWS = 4096
+
 # Relative asymmetry above this is a construction bug, not roundoff.
 SYMMETRY_RTOL = 1e-12
 
-__all__ = ["JITTER_LADDER", "RngSeed", "GaussianSpec", "factorize", "sample", "conditional"]
+__all__ = ["JITTER_LADDER", "SAMPLE_BLOCK_ROWS", "RngSeed", "GaussianSpec", "factorize", "sample", "conditional"]
 
 
 @dataclass(frozen=True)
@@ -127,12 +137,13 @@ def _rank_deficient_cholesky(cov: np.ndarray, scale: float) -> np.ndarray | None
 def factorize(cov) -> tuple[np.ndarray, float]:
     """Cholesky factor of cov plus the jitter that made it work.
 
-    Returns (L, jitter) with L @ L.T equal to cov + jitter * I. Exactly
-    singular PSD matrices factorize without jitter through the
-    rank-deficient pass, so degenerate components stay degenerate. The
-    jitter ladder is relative to the largest diagonal entry; an exactly
-    zero matrix factorizes to zero. Raises NotPSDError when the ladder
-    runs out.
+    Returns (L, jitter) with L @ L.T equal to cov + jitter * I. Rows and
+    columns that are exactly zero are deflated: LAPACK factors the rest, and
+    those rows of L are 0. Other exactly singular PSD matrices factorize
+    without jitter through the rank-deficient pass, so degenerate components
+    stay degenerate. The jitter ladder is relative to the largest diagonal
+    entry; an exactly zero matrix factorizes to zero. Raises NotPSDError
+    when the ladder runs out.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -148,8 +159,13 @@ def factorize(cov) -> tuple[np.ndarray, float]:
         if not np.any(cov):
             return np.zeros((d, d)), 0.0
     else:
+        live = np.any(cov, axis=0) | np.any(cov, axis=1)
         try:
-            return np.linalg.cholesky(cov), 0.0
+            if live.all():
+                return np.linalg.cholesky(cov), 0.0
+            low = np.zeros((d, d))
+            low[np.ix_(live, live)] = np.linalg.cholesky(cov[np.ix_(live, live)])
+            return low, 0.0
         except np.linalg.LinAlgError:
             pass
         low = _rank_deficient_cholesky(cov, max_diag)
@@ -167,12 +183,30 @@ def factorize(cov) -> tuple[np.ndarray, float]:
 
 
 def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
-    """n independent draws, one per row, deterministic given the seed."""
+    """n independent draws, one per row, deterministic given the seed.
+
+    The draws are ``mean + z @ L.T`` for one ``(n, d)`` draw z, but z is
+    drawn and multiplied ``SAMPLE_BLOCK_ROWS`` rows at a time straight into
+    the output. Every product has that many rows (or n, if fewer): a short
+    last block keeps the end of the block before it and rewrites those rows.
+    OpenBLAS rounds a row the same in any product of that shape as in the
+    one-shot product when d <= 256; above that its inner blocking follows the
+    product's shape, and some draws can move in the last bit.
+    """
     if n < 0:
         raise ValueError(f"need a nonnegative draw count, got {n}")
     L, _ = factorize(spec.cov)
-    z = seed.generator().standard_normal((n, spec.dim))
-    return spec.mean[None, :] + z @ L.T
+    gen = seed.generator()
+    out = np.empty((n, spec.dim))
+    z = np.empty((min(n, SAMPLE_BLOCK_ROWS), spec.dim))
+    for start in range(0, n, SAMPLE_BLOCK_ROWS):
+        fresh = min(len(z), n - start)
+        z[: len(z) - fresh] = z[fresh:]
+        gen.standard_normal(out=z[len(z) - fresh :])
+        stop = start + fresh
+        np.matmul(z, L.T, out=out[stop - len(z) : stop])
+    out += spec.mean
+    return out
 
 
 def conditional(spec: GaussianSpec, observed_indices, observed_values) -> GaussianSpec:

@@ -22,6 +22,14 @@ incremental inclusion-exclusion, so the nets are the Moebius coefficients
 of the meet semilattice (Rota 1964), and its size is bounded by the rows the
 fold holds rather than by 2^k subsets.
 
+The maximal rows of a family (a union's extremal representation) come
+from an all-pairs dominance test in :func:`canonicalize`, and from a peel
+by descending coordinate sum (:func:`_maxima`) where there are many rows and
+few maxima, as on each step of a sequential plan. Rows the module has made
+canonical itself become a UnionSet through :func:`_union`, without a second
+validation, and an Increment whose b already lies inside [0, a] keeps it as
+given. An Increment folds its frontier once and keeps it.
+
 Corners closer than ``GEOM_ATOL`` in every coordinate are treated as one
 point. Exact cancellation in the frontier relies on equal inputs
 collapsing, which componentwise ``min`` guarantees bitwise; the tolerance
@@ -131,7 +139,7 @@ def _group(rows: np.ndarray, nets: np.ndarray | None = None, near: bool = True):
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    first[1:] = functools.reduce(np.logical_or, [c[1:] != c[:-1] for c in rows.T])
     starts = np.flatnonzero(first)
     rows = rows[starts]
     if nets is not None:
@@ -188,12 +196,33 @@ def _dominated(rows: np.ndarray) -> np.ndarray:
     return below.any(axis=1)
 
 
+def _maxima(rows: np.ndarray) -> np.ndarray:
+    """``rows[~_dominated(rows)]`` for grouped rows, at O(len(rows)) per maximum.
+
+    Peels by descending coordinate sum (Kung, Luccio & Preparata 1975): the
+    row of largest sum still in play drops every row it dominates, itself
+    included, and is kept unless some row dominates it. Under the GEOM_ATOL
+    slack a row can be dominated by one of smaller sum, even by one already
+    dropped, so that check runs over all rows. Grouped rows hold no two rows
+    within GEOM_ATOL of each other, so no two rows dominate each other.
+    """
+    cols = np.ascontiguousarray(rows.T)  # column-wise compares are several times faster
+    sums = cols.sum(axis=0)
+    keep = np.zeros(len(rows), dtype=bool)
+    while sums[j := int(np.argmax(sums))] > -np.inf:
+        top = cols[:, j, None]
+        sums[np.all(cols <= top + GEOM_ATOL, axis=0)] = -np.inf
+        keep[j] = np.count_nonzero(np.all(top <= cols + GEOM_ATOL, axis=0)) == 1
+    return rows[keep]
+
+
 @dataclass(frozen=True)
 class UnionSet:
     """Finite union of rectangles, stored as the sorted antichain of maximal corners.
 
     Construct through :func:`canonicalize`; the constructor only validates
-    that the representation is already canonical.
+    that the representation is already canonical. Rows the module has made
+    canonical itself go through :func:`_union`, which skips that check.
     """
 
     corners: tuple[Corner, ...]
@@ -220,6 +249,13 @@ class UnionSet:
         return [c.to_json() for c in self.corners]
 
 
+def _union(rows: np.ndarray) -> UnionSet:
+    """UnionSet of rows that are already canonical, built without validating them again."""
+    u = object.__new__(UnionSet)
+    object.__setattr__(u, "corners", _corners(rows))
+    return u
+
+
 def canonicalize(corners) -> UnionSet:
     """Extremal representation of a union of rectangles.
 
@@ -228,23 +264,40 @@ def canonicalize(corners) -> UnionSet:
     yields the empty union.
     """
     rows, _ = _group(_as_rows(corners))
-    return UnionSet(_corners(rows[~_dominated(rows)]))
+    return _union(rows[~_dominated(rows)])
 
 
 @dataclass(frozen=True)
 class Increment:
-    """Increment [0, a] minus a union b, with b clipped into [0, a]."""
+    """Increment [0, a] minus a union b, with b clipped into [0, a].
+
+    A b that already lies inside [0, a] is kept as given: clipping it would
+    change nothing, and a UnionSet is canonical already. The signed frontier
+    is folded on the first :func:`frontier` call and kept on the increment.
+    """
 
     a: Corner
     b: UnionSet
 
     def __post_init__(self):
         rows = _as_rows((self.a, *self.b.corners))
-        object.__setattr__(self, "b", canonicalize(np.minimum(rows[1:], rows[0])))
+        if not np.all(rows[1:] <= rows[0]):
+            object.__setattr__(self, "b", canonicalize(np.minimum(rows[1:], rows[0])))
 
     @property
     def dim(self) -> int:
         return self.a.dim
+
+    @functools.cached_property
+    def _frontier(self) -> "Frontier":
+        if not self.b.corners:
+            return Frontier(((Corner.origin(self.dim), 1),))
+        rows, nets = _signed_meets(_as_rows(self.b.corners))
+        bad = np.flatnonzero(np.abs(nets) > 1)
+        if bad.size:
+            raise InternalConsistencyError(f"inclusion-exclusion net coefficient {nets[bad[0]]} at corner "
+                                           f"{tuple(rows[bad[0]].tolist())}; expected -1, 0 or +1")
+        return Frontier(tuple(zip(_corners(rows), nets.tolist())))
 
 
 @dataclass(frozen=True)
@@ -284,16 +337,10 @@ def frontier(inc: Increment) -> Frontier:
     order, the meets whose net coefficient is nonzero. A net coefficient
     outside {-1, 0, +1} is a broken invariant and raises rather than
     truncating. An empty b yields the origin with sign +1, the convention
-    for an unconditioned rectangle.
+    for an unconditioned rectangle. The fold runs once per increment:
+    later calls return the Frontier the first one built.
     """
-    if not inc.b.corners:
-        return Frontier(((Corner.origin(inc.dim), 1),))
-    rows, nets = _signed_meets(_as_rows(inc.b.corners))
-    bad = np.flatnonzero(np.abs(nets) > 1)
-    if bad.size:
-        raise InternalConsistencyError(f"inclusion-exclusion net coefficient {nets[bad[0]]} at corner "
-                                       f"{tuple(rows[bad[0]].tolist())}; expected -1, 0 or +1")
-    return Frontier(tuple(zip(_corners(rows), nets.tolist())))
+    return inc._frontier
 
 
 def min_closure(corners) -> list[Corner]:

@@ -149,7 +149,8 @@ def transition_params(params: KernelParams, inc: Increment) -> TransitionParams:
     eps_i * exp(-lambda (m(a) - m(F_i))); the conditional variance is
     sigma^2/(2 lambda) * (1 - sum_i eps_i exp(-2 lambda (m(a) - m(F_i)))).
     A variance that is negative beyond roundoff raises; a tiny negative
-    clamps to exactly 0, the degenerate (measure-zero increment) case.
+    clamps to exactly 0, the degenerate (measure-zero increment) case. The
+    frontier is the one the increment already holds, if a plan folded it.
     """
     m = params.measure
     m.check_dim(inc.dim)

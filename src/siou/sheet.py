@@ -281,6 +281,8 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
 
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
+    if len(points) == 0:
+        raise ConfigError("a sheet needs at least one point")
     support, W, drift = _cell_weights(spec, alpha, sigma, points, y0, stationary)
     Wt = np.ascontiguousarray(W.T) * math.sqrt(spec.cell_volume)
     out = np.empty((replicates, Wt.shape[0]))

@@ -10,10 +10,20 @@ origin value is drawn from the configured initial law, and only that draw
 depends on it, which is why arbitrary (including empirical) initial laws
 are allowed.
 
+Because the closure is min-closed, the maximal meets of a_i with the earlier
+corners are a_i's lower covers, and there are few of them: usually at most
+two per step of a 2-D family. :func:`plan` groups the meets and peels their
+maxima by descending coordinate sum (Kung, Luccio & Preparata 1975), which
+costs O(i) per cover instead of an i x i dominance matrix, and gives the
+rows ``canonicalize`` would. Each step's frontier is folded once;
+:func:`simulate` reuses it through its increment.
+
 ``simulate_exact`` bypasses the sequential kernel entirely: it assembles
 the joint mean and covariance in closed form and samples in one shot. It
 exists as an independent oracle for the sequential sampler and therefore
-supports only Gaussian initial laws.
+supports only Gaussian initial laws. A point start's Gram has exactly zero
+rows (the origin, and axis corners under the Lebesgue measure); the factor
+deflates them, so those columns come out as their means.
 """
 
 from __future__ import annotations
@@ -25,7 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, PlanningError
 from .gaussian import GaussianSpec, RngSeed, sample
-from .geometry import GEOM_ATOL, Corner, Frontier, Increment, _as_rows, canonicalize, frontier, min_closure
+from .geometry import (GEOM_ATOL, Corner, Frontier, Increment, _as_rows, _group, _has_near_values, _maxima, _union,
+                       frontier, min_closure)
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
 __all__ = ["InitialLaw", "PlanStep", "Plan", "SamplePath", "plan", "simulate", "simulate_exact"]
@@ -182,17 +193,27 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     if any(c != 0.0 for c in closed[0].coords):
         raise PlanningError("the closure must start at the origin")
     rows = _as_rows(closed)
+    # Meets take their coordinates from the closure, so they need the
+    # tolerance merge only if the closure's columns hold near-equal values.
+    merge_near = _has_near_values(rows)
+    position = {c.coords: j for j, c in enumerate(closed)}
     steps = []
     for i in range(1, len(closed)):
-        inc = Increment(closed[i], canonicalize(np.minimum(rows[:i], rows[i])))
+        # b is canonicalize(min(rows[:i], a_i)): its maxima are a_i's lower covers.
+        meets, _ = _group(np.minimum(rows[:i], rows[i]), near=merge_near)
+        inc = Increment(closed[i], _union(_maxima(meets)))
         fr = frontier(inc)
-        # Each frontier corner is an earlier closure corner, up to GEOM_ATOL.
-        near = np.all(np.abs(_as_rows(fr.corners)[:, None, :] - rows[None, :i, :]) <= GEOM_ATOL, axis=2)
-        found = near.any(axis=1)
-        if not found.all():
-            corner = fr.corners[int(np.argmin(found))]
+        # Each frontier corner is an earlier closure corner, up to GEOM_ATOL;
+        # without near-equal values only an equal corner is that close.
+        if merge_near:
+            near = np.all(np.abs(_as_rows(fr.corners)[:, None, :] - rows[None, :i, :]) <= GEOM_ATOL, axis=2)
+            parents = [int(np.argmax(hit)) if hit.any() else i for hit in near]
+        else:
+            parents = [position.get(c.coords, i) for c in fr.corners]
+        if max(parents) >= i:
+            corner = fr.corners[int(np.argmax(parents))]
             raise PlanningError(f"frontier corner {corner.coords} of step {i} is not sampled before it")
-        steps.append(PlanStep(i, closed[i], inc, fr, tuple(near.argmax(axis=1).tolist())))
+        steps.append(PlanStep(i, closed[i], inc, fr, tuple(parents)))
     return Plan(tuple(closed), tuple(steps))
 
 

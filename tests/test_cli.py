@@ -204,6 +204,7 @@ def test_sheet_bad_mode(tmp_path, capsys):
 @pytest.mark.parametrize("extra, message", [
     ({"alpha": [-1.0]}, "alpha must be finite and positive, got (-1.0,)"),
     ({"points": [[0.5], [1.5]]}, "outside the grid upper corner"),
+    ({"points": []}, "a sheet needs at least one point"),
 ])
 def test_sheet_bad_alpha_or_point_is_a_configuration_error(tmp_path, capsys, extra, message):
     cfg = sheet_config(tmp_path, **extra)

@@ -1,12 +1,24 @@
 """Factorization, seeded sampling and conditioning of dense Gaussians."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from siou import gaussian
 from siou.errors import NotPSDError
-from siou.gaussian import GaussianSpec, RngSeed, conditional, factorize, sample
+from siou.gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, conditional, factorize, sample
+from siou.geometry import Corner
+from siou.kernel import KernelParams, cov_matrix, mean_vector
+from siou.measures import MeasureSpec
+
+
+def point_started_gram(k: int, x0: float = 0.4) -> GaussianSpec:
+    """Law of the point-started field on the origin and the k x k quarter grid."""
+    params = KernelParams(0.9, 1.3, MeasureSpec.lebesgue())
+    corners = [Corner((0.0, 0.0))] + [Corner((0.25 * i, 0.25 * j)) for i in range(1, k + 1) for j in range(1, k + 1)]
+    return GaussianSpec(mean_vector(params, corners, x0), cov_matrix(params, corners, v0=0.0))
 
 
 def test_factorize_two_by_two():
@@ -74,6 +86,73 @@ def test_factorize_jitter_ladder_for_larger_negativity():
     assert jitter > 0.0
     err = float(np.max(np.abs(L @ L.T - cov)))
     assert err <= 1e-7 * float(np.max(np.abs(cov)))
+
+
+def test_factorize_deflates_the_origin_row_of_a_point_started_gram(monkeypatch):
+    def no_python_pass(cov, scale):
+        raise AssertionError("the rank-deficient pass ran")
+
+    monkeypatch.setattr(gaussian, "_rank_deficient_cholesky", no_python_pass)
+    cov = point_started_gram(12).cov
+    L, jitter = factorize(cov)
+    assert jitter == 0.0
+    assert not L[0].any() and not L[:, 0].any()
+    assert float(np.max(np.abs(L @ L.T - cov))) <= 1e-12 * float(np.max(np.diag(cov)))
+
+
+def test_factorize_duplicated_corner_takes_the_rank_deficient_pass(monkeypatch):
+    calls = []
+    python_pass = gaussian._rank_deficient_cholesky
+
+    def spy(cov, scale):
+        calls.append(cov.shape)
+        return python_pass(cov, scale)
+
+    monkeypatch.setattr(gaussian, "_rank_deficient_cholesky", spy)
+    params = KernelParams(0.9, 1.3, MeasureSpec.lebesgue())
+    corners = [Corner((0.0, 0.0)), Corner((0.5, 1.0)), Corner((1.0, 0.5)), Corner((0.5, 1.0))]
+    cov = cov_matrix(params, corners, v0=0.0)
+    L, jitter = factorize(cov)
+    assert calls == [(4, 4)]
+    assert jitter == 0.0
+    assert L[3, 3] == 0.0
+    np.testing.assert_allclose(L @ L.T, cov, atol=1e-14)
+
+
+def test_factorize_zero_pivot_with_off_diagonal_weight_is_not_deflated():
+    # Row 0 has a zero variance but covaries with row 1: not PSD, so no exact
+    # factor exists, and the jitter ladder cannot fix a -0.25 eigenvalue.
+    cov = np.array([[0.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(NotPSDError):
+        factorize(cov)
+    # Roundoff-sized weight ends in the jitter ladder instead.
+    cov = np.array([[0.0, 1e-9, 0.0], [1e-9, 1.0, 0.2], [0.0, 0.2, 1.0]])
+    L, jitter = factorize(cov)
+    assert jitter > 0.0
+    assert L[0, 0] > 0.0
+
+
+@pytest.mark.parametrize("n", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_ROWS + 1, 20_000])
+def test_block_streamed_sample_equals_the_one_shot_product(n):
+    spec = point_started_gram(12)
+    L, _ = factorize(spec.cov)
+    z = RngSeed(7, 3).generator().standard_normal((n, spec.dim))
+    want = spec.mean[None, :] + z @ L.T
+    got = sample(spec, n, RngSeed(7, 3))
+    assert got.shape == (n, 145)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_streamed_sample_holds_one_block_beside_the_output():
+    spec = point_started_gram(12)
+    sample(spec, 8, RngSeed(1))
+    tracemalloc.start()
+    try:
+        out = sample(spec, 20_000, RngSeed(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.nbytes
 
 
 def test_sample_reproducible_and_stream_separated():

@@ -159,6 +159,12 @@ def test_batch_paths_needs_at_least_one_replicate(replicates):
         batch_paths(GRID_1D, (1.0,), 1.0, [(0.5,)], replicates, RngSeed(1))
 
 
+@pytest.mark.parametrize("stationary", [False, True])
+def test_batch_paths_needs_at_least_one_point(stationary):
+    with pytest.raises(ConfigError, match="a sheet needs at least one point"):
+        batch_paths(GRID_1D, (1.0,), 1.0, [], 10, RngSeed(1), stationary=stationary)
+
+
 PTS_2D = [(0.25, 0.25), (0.5, 1.0), (1.0, 1.0)]
 
 

@@ -1,13 +1,17 @@
 """Sequential Markov sampler, exact joint sampler, and the step planner."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from siou.errors import ConfigError
+from siou.errors import ConfigError, InternalConsistencyError, PlanningError
 from siou.gaussian import RngSeed
-from siou.geometry import Corner
+from siou.geometry import GEOM_ATOL, Corner, Increment, canonicalize, frontier, min_closure
 from siou.kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac, transition_params
 from siou.measures import MeasureSpec
 from siou.simulator import InitialLaw, plan, simulate, simulate_exact
@@ -45,6 +49,80 @@ def test_plan_top_corner_conditions_on_three_parents():
 def test_plan_rejects_unknown_tiebreak():
     with pytest.raises(ConfigError):
         plan(FAMILY, tiebreak="random")
+
+
+def _reference_plan_json(corners, tiebreak):
+    """Plan JSON built step by step from ``canonicalize`` and a tolerance search over all earlier corners."""
+    closed = min_closure(corners)
+    if tiebreak == "revlex":
+        closed = sorted(closed, key=lambda c: (sum(c.coords), c.coords[::-1]))
+    rows = np.array([c.coords for c in closed])
+    steps = []
+    for i in range(1, len(closed)):
+        b = canonicalize(np.minimum(rows[:i], rows[i]))
+        fr = frontier(Increment(closed[i], b))
+        near = np.all(np.abs(np.array([c.coords for c in fr.corners])[:, None, :] - rows[None, :i, :]) <= GEOM_ATOL,
+                      axis=2)
+        if not near.any(axis=1).all():
+            raise PlanningError(f"step {i} has a frontier corner that is not sampled before it")
+        steps.append({"index": i, "a": closed[i].to_json(), "b": b.to_json(), "frontier": fr.to_json(),
+                      "parents": near.argmax(axis=1).tolist()})
+    return {"corners": [c.to_json() for c in closed], "steps": steps}
+
+
+@st.composite
+def near_families(draw):
+    """Quarter-grid families in dimensions 1-4; some coordinates moved by less than GEOM_ATOL."""
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8 if dim <= 2 else 5))
+    quarters = draw(st.lists(st.tuples(*[st.integers(1, 6)] * dim), min_size=k, max_size=k))
+    shifts = st.sampled_from((0.0, 0.0, 3e-13, -4e-13, 9e-13))
+    return [Corner(tuple(0.25 * q + draw(shifts) for q in c)) for c in quarters]
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_families(), st.sampled_from(["lex", "revlex"]))
+def test_plan_steps_match_canonicalized_meets(corners, tiebreak):
+    try:
+        want = _reference_plan_json(corners, tiebreak)
+    except (InternalConsistencyError, PlanningError) as exc:
+        # A net of +-2 in dimensions 3-4, or a meet that lies within GEOM_ATOL
+        # of a corner the closure merged away: the plan refuses it the same way.
+        with pytest.raises(type(exc)):
+            plan(corners, tiebreak=tiebreak)
+        return
+    assert json.dumps(plan(corners, tiebreak=tiebreak).to_json()) == json.dumps(want)
+
+
+def _plan_digest(corners, tiebreak):
+    return hashlib.sha256(json.dumps(plan(corners, tiebreak=tiebreak).to_json()).encode()).hexdigest()
+
+
+GRID_12 = [Corner((0.25 * i, 0.25 * j)) for i in range(1, 13) for j in range(1, 13)]
+
+
+@pytest.mark.parametrize("corners, tiebreak, digest", [
+    (GRID_12, "lex", "a7b04686370c93a789a41573d36ff58e589efd3a7849648209a1aa9a83167c15"),
+    (GRID_12, "revlex", "fb69e016e25f90ce203da70090d4bb6cbf4fd5d1d51b7e5c70b511b0943ab1e6"),
+    (FAMILY, "lex", "e88d494921bcc26c76b260c453a51e837ae594f82b1cf2f8e24f83a7d434cd18"),
+    (FAMILY, "revlex", "818f5d1f4240284410066587700f55df823466116f9b14b9fc35213aea72048d"),
+])
+def test_plan_json_bytes_are_pinned(corners, tiebreak, digest):
+    assert _plan_digest(corners, tiebreak) == digest
+
+
+def test_sixty_corner_antichain_plan_ends_in_the_closed_form_frontier():
+    # Corners (i, 61 - i): the closure adds the 1,770 pairwise meets and the origin.
+    anti = [Corner((float(i), float(61 - i))) for i in range(1, 61)]
+    pl = plan(anti + [Corner((61.0, 61.0))])
+    assert len(pl.corners) == 1832
+    top = pl.steps[-1]
+    want = sorted([(c.coords, 1) for c in anti] + [((u.coords[0], v.coords[1]), -1) for u, v in zip(anti, anti[1:])])
+    assert top.a.coords == (61.0, 61.0)
+    assert [(c.coords, s) for c, s in top.frontier.entries] == want
+    assert len(want) == 119
+    assert hashlib.sha256(json.dumps(pl.to_json()).encode()).hexdigest() == (
+        "5775491f61ebc32aeb55066842ed59b8db202a3a8085262e03460b06acc4cb01")
 
 
 def test_initial_law_variants():
