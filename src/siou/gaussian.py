@@ -190,8 +190,9 @@ def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
     the output. Every product has that many rows (or n, if fewer): a short
     last block keeps the end of the block before it and rewrites those rows.
     OpenBLAS rounds a row the same in any product of that shape as in the
-    one-shot product when d <= 256; above that its inner blocking follows the
-    product's shape, and some draws can move in the last bit.
+    one-shot product when d <= 256. Above that its rounding follows the
+    product's shape: for n > SAMPLE_BLOCK_ROWS a few draws differ from the
+    one-shot product in the last bit (39 of 2.4e6 at d = 290, n = 8200, 2 threads).
     """
     if n < 0:
         raise ValueError(f"need a nonnegative draw count, got {n}")

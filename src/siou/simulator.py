@@ -196,24 +196,21 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     # Meets take their coordinates from the closure, so they need the
     # tolerance merge only if the closure's columns hold near-equal values.
     merge_near = _has_near_values(rows)
-    position = {c.coords: j for j, c in enumerate(closed)}
+    cols = np.ascontiguousarray(rows.T)  # parent search column by column, without a 3-D temporary
     steps = []
     for i in range(1, len(closed)):
         # b is canonicalize(min(rows[:i], a_i)): its maxima are a_i's lower covers.
         meets, _ = _group(np.minimum(rows[:i], rows[i]), near=merge_near)
         inc = Increment(closed[i], _union(_maxima(meets)))
         fr = frontier(inc)
-        # Each frontier corner is an earlier closure corner, up to GEOM_ATOL;
-        # without near-equal values only an equal corner is that close.
-        if merge_near:
-            near = np.all(np.abs(_as_rows(fr.corners)[:, None, :] - rows[None, :i, :]) <= GEOM_ATOL, axis=2)
-            parents = [int(np.argmax(hit)) if hit.any() else i for hit in near]
-        else:
-            parents = [position.get(c.coords, i) for c in fr.corners]
-        if max(parents) >= i:
-            corner = fr.corners[int(np.argmax(parents))]
+        # Each frontier corner is an earlier closure corner, up to GEOM_ATOL.
+        near = np.logical_and.reduce([np.abs(col[None, :i] - f[:, None]) <= GEOM_ATOL
+                                      for col, f in zip(cols, _as_rows(fr.corners).T)])
+        found = near.any(axis=1)
+        if not found.all():
+            corner = fr.corners[int(np.argmin(found))]
             raise PlanningError(f"frontier corner {corner.coords} of step {i} is not sampled before it")
-        steps.append(PlanStep(i, closed[i], inc, fr, tuple(parents)))
+        steps.append(PlanStep(i, closed[i], inc, fr, tuple(near.argmax(axis=1).tolist())))
     return Plan(tuple(closed), tuple(steps))
 
 

@@ -143,6 +143,18 @@ def test_block_streamed_sample_equals_the_one_shot_product(n):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [SAMPLE_BLOCK_ROWS + 1, 2 * SAMPLE_BLOCK_ROWS + 8])
+def test_block_streamed_sample_above_256_corners_stays_within_rounding_of_the_one_shot_product(n):
+    # Past 256 columns OpenBLAS's rounding of a row follows the product's
+    # shape, so a few draws may differ from the one-shot product in the last bit.
+    spec = point_started_gram(17)
+    L, _ = factorize(spec.cov)
+    want = spec.mean[None, :] + RngSeed(7).generator().standard_normal((n, spec.dim)) @ L.T
+    got = sample(spec, n, RngSeed(7))
+    assert got.shape == (n, 290)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+
+
 def test_block_streamed_sample_holds_one_block_beside_the_output():
     spec = point_started_gram(12)
     sample(spec, 8, RngSeed(1))
