@@ -9,8 +9,8 @@ Conventions: run configuration comes from a JSON file where a subcommand
 takes one, with flags overriding file values; every JSON output embeds the
 fully resolved configuration under "config" with the payload under
 "results"; outputs are byte-identical across reruns of the same
-invocation. Exit codes: 0 success, 1 failed checks or numerical errors,
-2 usage or configuration errors.
+invocation. Exit codes: 0 success, 1 failed checks, numerical errors or
+outputs too large to allocate, 2 usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ConfigError, SiouError
-from .gaussian import RngSeed
+from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed
 from .geometry import Corner, Increment, canonicalize, frontier
 from .kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac, transition_params
 from .measures import MeasureSpec
@@ -107,9 +107,9 @@ def _corner_label(coords) -> str:
 
 
 def _rows(values: np.ndarray):
-    """Rows of a 2-D array as lists of floats, converted 4,096 rows at a time to bound memory."""
-    for start in range(0, len(values), 4096):
-        yield from values[start : start + 4096].tolist()
+    """Rows of a 2-D array as lists of floats, converted ``SAMPLE_BLOCK_ROWS`` rows at a time to bound memory."""
+    for start in range(0, len(values), SAMPLE_BLOCK_ROWS):
+        yield from values[start : start + SAMPLE_BLOCK_ROWS].tolist()
 
 
 def _csv_field(text: str) -> str:
@@ -323,6 +323,10 @@ def main(argv=None) -> int:
         return 2
     except SiouError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass for arrays it cannot allocate.
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

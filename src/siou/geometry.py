@@ -128,6 +128,21 @@ def _has_near_values(rows: np.ndarray) -> bool:
     return bool(((gap > 0) & (gap <= GEOM_ATOL)).any())
 
 
+def _snap_near_values(rows: np.ndarray) -> np.ndarray:
+    """Rows with each coordinate moved to its column's representative.
+
+    A column's values, 0 included, are merged by :func:`_group`'s rule:
+    ascending, each value within GEOM_ATOL of a kept one joins it. The kept
+    values are then more than GEOM_ATOL apart, so the result holds no near
+    values and the closure of its rows needs no tolerance merge.
+    """
+    out = np.empty_like(rows)
+    for j, col in enumerate(rows.T):
+        reps = _group(np.unique(np.append(col, 0.0))[:, None])[0][:, 0]
+        out[:, j] = reps[np.searchsorted(reps, col, side="right") - 1]
+    return out
+
+
 def _group(rows: np.ndarray, nets: np.ndarray | None = None, near: bool = True):
     """Sort rows lexicographically and drop each row within GEOM_ATOL of a kept one, summing nets into it.
 

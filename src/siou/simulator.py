@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PlanningError
-from .gaussian import GaussianSpec, RngSeed, sample
-from .geometry import (GEOM_ATOL, Corner, Frontier, Increment, _as_rows, _group, _has_near_values, _maxima, _union,
-                       frontier, min_closure)
+from .gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, sample
+from .geometry import (GEOM_ATOL, Corner, Frontier, Increment, _as_rows, _group, _has_near_values, _maxima,
+                       _snap_near_values, _union, frontier, min_closure)
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
 __all__ = ["InitialLaw", "PlanStep", "Plan", "SamplePath", "plan", "simulate", "simulate_exact"]
@@ -183,7 +183,13 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     reversed coordinate tuple ("revlex"). Both orders sample the same law;
     having two lets the order-independence of the sampler be tested.
     """
-    closed = min_closure(corners)
+    rows = _as_rows(corners)
+    if _has_near_values(np.vstack([rows, np.zeros(rows.shape[1])])):
+        # Near values (the origin's zeros included) can chain past GEOM_ATOL
+        # through the closure's merges, and leave a meet near a merged-away
+        # corner but far from its keeper. Snapped, the closure holds none.
+        rows = _snap_near_values(rows)
+    closed = min_closure(rows)
     if tiebreak == "lex":
         pass
     elif tiebreak == "revlex":
@@ -193,14 +199,11 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     if any(c != 0.0 for c in closed[0].coords):
         raise PlanningError("the closure must start at the origin")
     rows = _as_rows(closed)
-    # Meets take their coordinates from the closure, so they need the
-    # tolerance merge only if the closure's columns hold near-equal values.
-    merge_near = _has_near_values(rows)
     cols = np.ascontiguousarray(rows.T)  # parent search column by column, without a 3-D temporary
     steps = []
     for i in range(1, len(closed)):
         # b is canonicalize(min(rows[:i], a_i)): its maxima are a_i's lower covers.
-        meets, _ = _group(np.minimum(rows[:i], rows[i]), near=merge_near)
+        meets, _ = _group(np.minimum(rows[:i], rows[i]), near=False)
         inc = Increment(closed[i], _union(_maxima(meets)))
         fr = frontier(inc)
         # Each frontier corner is an earlier closure corner, up to GEOM_ATOL.
@@ -240,20 +243,57 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
 
     Zero-variance steps contribute exactly their conditional mean. The
     output is deterministic given (plan, params, initial, replicates,
-    seed): draws are consumed origin first, then one batch per step in
-    plan order.
+    seed): draws are consumed origin first, then one batch of
+    ``replicates`` normals per step in plan order.
+
+    Each column is filled ``SAMPLE_BLOCK_ROWS`` replicates at a time: the
+    block's parent values are gathered into a reused buffer and multiplied
+    by the step's weights, and the block's normals are drawn into another
+    reused buffer, scaled and shifted in place. So the sampler holds its
+    C-ordered ``(replicates, corners)`` output plus one block per parent.
+
+    The values equal the one-shot ``values[:, parents] @ w + s * z`` under
+    one BLAS thread, and do not depend on the BLAS thread count. OpenBLAS
+    sums the last ``n mod 4`` rows of an n-row product in a tail loop with
+    its own order, and with several threads also the last rows of each
+    thread's share. So every block is multiplied as a full
+    ``SAMPLE_BLOCK_ROWS``-row product (rows past the block hold stale finite
+    values), which a power-of-two number of threads splits into whole
+    groups of rows, and the last ``replicates mod 16`` rows are taken from
+    a product of the last ``replicates mod 16 + 16`` rows, which sums them
+    as the one-shot product does.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
     params.measure.check_dim(pl.dim)
     transitions = tuple(transition_params(params, step.increment) for step in pl.steps)
     gen = seed.generator()
-    values = np.empty((replicates, len(pl.corners)))
-    values[:, 0] = initial.draw(gen, replicates)
+    n = replicates
+    values = np.empty((n, len(pl.corners)))
+    starts = range(0, n, SAMPLE_BLOCK_ROWS)
+    for start in starts:
+        values[start : start + SAMPLE_BLOCK_ROWS, 0] = initial.draw(gen, min(n - start, SAMPLE_BLOCK_ROWS))
+    gathered = np.zeros((max((len(step.parents) for step in pl.steps), default=0), SAMPLE_BLOCK_ROWS))
+    mean = np.empty(SAMPLE_BLOCK_ROWS)
+    noise = np.empty(min(n, SAMPLE_BLOCK_ROWS))
+    tail = n % 16
     for step, tp in zip(pl.steps, transitions):
+        parents = list(step.parents)
         w = np.array([wt for _, wt in tp.weights])
-        mean = values[:, list(step.parents)] @ w
-        values[:, step.index] = mean + math.sqrt(tp.variance) * gen.standard_normal(replicates)
+        block = gathered[: len(parents)].T  # Fortran-ordered, like values[:, parents]
+        scale = math.sqrt(tp.variance)
+        for start in starts:
+            rows = min(n - start, SAMPLE_BLOCK_ROWS)
+            for j, p in enumerate(parents):
+                gathered[j, :rows] = values[start : start + rows, p]
+            np.matmul(block, w, out=mean)
+            if start + rows == n and tail:
+                mean[rows - tail : rows] = (values[max(0, n - tail - 16) :, parents] @ w)[-tail:]
+            z = noise[:rows]
+            gen.standard_normal(out=z)
+            z *= scale
+            z += mean[:rows]
+            values[start : start + rows, step.index] = z
     return SamplePath(pl.corners, values, params, initial, seed, transitions)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, InternalConsistencyError, SiouError
 from .gaussian import GaussianSpec, RngSeed, conditional
 from .geometry import Corner, Increment, canonicalize, frontier
-from .kernel import KernelParams, cov_matrix, mean_vector, transition_density, transition_params
+from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_density, transition_params
 from .measures import MeasureSpec, measure_diff, measure_rect, measure_symdiffs
 from .sheet import GridSpec, batch_paths, equivalent_kernel_params
 from .simulator import InitialLaw, SamplePath, plan, simulate, simulate_exact
@@ -68,6 +68,7 @@ __all__ = [
     "moment_zscores",
     "check_psd",
     "check_kernel_schur",
+    "schur_gap",
     "check_markov_orthogonality",
     "check_continuity",
     "check_stationarity",
@@ -252,20 +253,28 @@ def check_kernel_schur(params: KernelParams, dim: int, trials: int, seed: RngSee
     for _ in range(trials):
         inc = _random_increment(gen, dim)
         tp = transition_params(params, inc)
-        corners = [inc.a] + [c for c, _ in tp.weights]
-        g = cov_fn(params, corners)
-        k = len(tp.weights)
-        obs = list(range(1, k + 1))
+        g = cov_fn(params, [inc.a] + [c for c, _ in tp.weights])
         try:
-            spec = GaussianSpec(np.zeros(k + 1), g)
-            base = conditional(spec, obs, np.zeros(k))
-            worst = max(worst, abs(float(base.cov[0, 0]) - tp.variance))
-            for j in range(k):
-                probe = conditional(spec, obs, np.eye(k)[j]).mean[0] - base.mean[0]
-                worst = max(worst, abs(float(probe) - tp.weights[j][1]))
+            worst = max(worst, schur_gap(tp, g))
         except (SiouError, ValueError, np.linalg.LinAlgError) as exc:
             return CheckReport.make("kernel_schur", BIG_STATISTIC, 1e-8, f"{details}; conditioning failed: {exc}")
     return CheckReport.make("kernel_schur", worst, 1e-8, details)
+
+
+def schur_gap(tp: TransitionParams, gram: np.ndarray) -> float:
+    """Largest gap between a transition law and Gaussian conditioning of X_a on its frontier.
+
+    ``gram`` is the covariance of X_a followed by X at tp's weighted corners, in order.
+    """
+    k = len(tp.weights)
+    obs = list(range(1, k + 1))
+    spec = GaussianSpec(np.zeros(k + 1), gram)
+    base = conditional(spec, obs, np.zeros(k))
+    worst = abs(float(base.cov[0, 0]) - tp.variance)
+    for j in range(k):
+        probe = conditional(spec, obs, np.eye(k)[j]).mean[0] - base.mean[0]
+        worst = max(worst, abs(float(probe) - tp.weights[j][1]))
+    return worst
 
 
 def check_markov_orthogonality(params: KernelParams, dim: int, trials: int, seed: RngSeed,

@@ -340,6 +340,34 @@ def test_malformed_input_is_a_configuration_error(tmp_path, capsys, argv):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("command, make_config", [("sample", sample_config), ("sheet", sheet_config)])
+def test_unallocatable_output_is_one_error_line(tmp_path, capsys, command, make_config):
+    # 10^14 replicates ask for petabytes: numpy refuses before anything is drawn.
+    cfg = make_config(tmp_path, replicates=10**14)
+    code, _, err = run_cli([command, "--config", cfg, *_outputs(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: MemoryError: ")
+    assert err.count("\n") == 1
+
+
+def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    # The top corner of a 12-corner antichain has 23 parents; 4,096 + 811
+    # replicates give a full block, a partial one and 11 tail rows.
+    m = 12
+    corners = [[0.25 * i, 0.25 * (m + 1 - i)] for i in range(1, m + 1)] + [[0.25 * (m + 1)] * 2]
+    cfg = sample_config(tmp_path, corners=corners, replicates=4096 + 811)
+    here, alone = tmp_path / "here.csv", tmp_path / "alone.csv"
+    code, _, _ = run_cli(["sample", "--config", cfg, "--csv", str(here), "--json", str(tmp_path / "here.json")], capsys)
+    assert code == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "siou", "sample", "--config", cfg, "--csv", str(alone),
+         "--json", str(tmp_path / "alone.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert here.read_bytes() == alone.read_bytes()
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     cfg = sample_config(tmp_path)
     outs = []

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siou.errors import ConfigError, InternalConsistencyError, PlanningError
-from siou.gaussian import RngSeed
+from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
 from siou.geometry import GEOM_ATOL, Corner, Increment, canonicalize, frontier, min_closure
-from siou.kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac, transition_params
+from siou.kernel import KernelParams, cov_dirac, cov_matrix, cov_stationary, mean_dirac, transition_params
 from siou.measures import MeasureSpec
 from siou.simulator import InitialLaw, plan, simulate, simulate_exact
+from siou.verify import schur_gap
 
 
 LEB = MeasureSpec.lebesgue()
@@ -51,9 +53,20 @@ def test_plan_rejects_unknown_tiebreak():
         plan(FAMILY, tiebreak="random")
 
 
+def _snapped(corners):
+    """Each coordinate moved to the last kept value of its column (0 included, ascending) within GEOM_ATOL."""
+    rows = np.array([c.coords for c in corners])
+    for col in rows.T:
+        keep = 0.0
+        for v in sorted(set(col)):
+            keep = keep if v - keep <= GEOM_ATOL else v
+            col[col == v] = keep
+    return [Corner(tuple(r)) for r in rows.tolist()]
+
+
 def _reference_plan_json(corners, tiebreak):
     """Plan JSON built step by step from ``canonicalize`` and a tolerance search over all earlier corners."""
-    closed = min_closure(corners)
+    closed = min_closure(_snapped(corners))
     if tiebreak == "revlex":
         closed = sorted(closed, key=lambda c: (sum(c.coords), c.coords[::-1]))
     rows = np.array([c.coords for c in closed])
@@ -85,10 +98,9 @@ def near_families(draw):
 def test_plan_steps_match_canonicalized_meets(corners, tiebreak):
     try:
         want = _reference_plan_json(corners, tiebreak)
-    except (InternalConsistencyError, PlanningError) as exc:
-        # A net of +-2 in dimensions 3-4, or a meet that lies within GEOM_ATOL
-        # of a corner the closure merged away: the plan refuses it the same way.
-        with pytest.raises(type(exc)):
+    except InternalConsistencyError:
+        # A net of +-2 in dimensions 3-4: the plan refuses it the same way.
+        with pytest.raises(InternalConsistencyError):
             plan(corners, tiebreak=tiebreak)
         return
     assert json.dumps(plan(corners, tiebreak=tiebreak).to_json()) == json.dumps(want)
@@ -123,6 +135,63 @@ def test_sixty_corner_antichain_plan_ends_in_the_closed_form_frontier():
     assert len(want) == 119
     assert hashlib.sha256(json.dumps(pl.to_json()).encode()).hexdigest() == (
         "5775491f61ebc32aeb55066842ed59b8db202a3a8085262e03460b06acc4cb01")
+
+
+def test_plan_snaps_coordinates_that_chain_within_tolerance():
+    # 0.25 - 4e-13, 0.25 and 0.25 + 9e-13 chain within GEOM_ATOL, but their ends are 1.3e-12 apart.
+    family = [Corner(c) for c in ((0.25, 0.25, 0.5), (0.25, 0.5, 0.25 + 9e-13), (0.25, 0.25, 0.25),
+                                  (0.25, 0.25, 0.25 - 4e-13))]
+    pl = plan(family)
+    assert sorted({c.coords[2] for c in pl.corners}) == [0.0, 0.25 - 4e-13, 0.25 + 9e-13, 0.5]
+    for params in (P, KernelParams(0.8, 1.3, MeasureSpec.axis((1.0, 0.5, 2.0)))):
+        for step in pl.steps:
+            tp = transition_params(params, step.increment)
+            assert schur_gap(tp, cov_matrix(params, [step.a] + [c for c, _ in tp.weights])) <= 1e-8
+
+
+def _antichain_and_top(m):
+    """A 2-D antichain of m corners plus a corner above them all, whose step has 2m - 1 parents."""
+    anti = [Corner((0.25 * i, 0.25 * (m + 1 - i))) for i in range(1, m + 1)]
+    return anti + [Corner((0.25 * (m + 1), 0.25 * (m + 1)))]
+
+
+def _one_shot(pl, params, initial, replicates, seed):
+    """The sampler without blocks: each column drawn as one ``mean + sqrt(var) * standard_normal(R)``."""
+    gen = seed.generator()
+    values = np.empty((replicates, len(pl.corners)))
+    values[:, 0] = initial.draw(gen, replicates)
+    for step in pl.steps:
+        tp = transition_params(params, step.increment)
+        mean = values[:, list(step.parents)] @ np.array([wt for _, wt in tp.weights])
+        values[:, step.index] = mean + math.sqrt(tp.variance) * gen.standard_normal(replicates)
+    return values
+
+
+STARTS = [InitialLaw.dirac(0.7), InitialLaw.normal(0.3, 0.4), InitialLaw.empirical([0.0, 1.0, 3.5])]
+
+
+@pytest.mark.parametrize("family", [FAMILY, _antichain_and_top(12)], ids=["readme", "antichain12_top"])
+@pytest.mark.parametrize("initial", STARTS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("replicates", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_ROWS + 1,
+                                        SAMPLE_BLOCK_ROWS + 3, 20_000])
+def test_simulate_matches_the_one_shot_sampler(family, initial, replicates):
+    # A plain per-block product moves one value of the top column at 4,099 normal replicates.
+    pl = plan(family)
+    path = simulate(pl, P, initial, replicates, RngSeed(17))
+    assert path.values.flags.c_contiguous
+    np.testing.assert_array_equal(path.values, _one_shot(pl, P, initial, replicates, RngSeed(17)))
+
+
+@pytest.mark.parametrize("initial", STARTS[:2], ids=lambda law: law.kind)
+def test_simulate_holds_its_output_plus_one_block(initial):
+    pl = plan(FAMILY)
+    tracemalloc.start()
+    try:
+        path = simulate(pl, P, initial, 200_000, RngSeed(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.values.nbytes
 
 
 def test_initial_law_variants():
