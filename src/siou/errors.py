@@ -6,7 +6,7 @@ class SiouError(Exception):
 
 
 class InvalidGeometryError(SiouError):
-    """Raised for negative coordinates, mixed dimensions or malformed corner sets."""
+    """Raised for negative coordinates, mixed dimensions, malformed corner sets or measures that overflow."""
 
 
 class InvalidGridError(InvalidGeometryError):

@@ -113,12 +113,11 @@ def measure_union(spec: MeasureSpec, u: UnionSet) -> float:
 
 def measure_symdiff(spec: MeasureSpec, u: Corner, v: Corner) -> float:
     """Measure of the symmetric difference of [0, u] and [0, v]."""
-    total = measure_rect(spec, u) + measure_rect(spec, v) - 2.0 * measure_rect(spec, u.meet(v))
-    return float(_clamp_residue(total, "symmetric difference"))
+    return float(measure_symdiffs(spec, [u], [v])[0, 0])
 
 
 def measure_symdiffs(spec: MeasureSpec, a, b) -> np.ndarray:
-    """Matrix of :func:`measure_symdiff` between the corners in ``a`` and in ``b``, meets broadcast."""
+    """Matrix of symmetric-difference measures between the corners in ``a`` and in ``b``, meets broadcast."""
     a, b = _as_rows(a), _as_rows(b)
     if a.shape[-1] != b.shape[-1]:
         raise InvalidGeometryError(f"mixed dimensions {a.shape[-1]} and {b.shape[-1]}; the dimension is fixed per session")
@@ -134,7 +133,9 @@ def measure_diff(spec: MeasureSpec, a: Corner, b: UnionSet) -> float:
 
 
 def _clamp_residue(value, what: str):
-    # Elementwise on arrays: roundoff negatives clamp to 0, real negatives raise.
+    # Elementwise on arrays: non-finite values raise, roundoff negatives clamp to 0, real negatives raise.
+    if not np.all(np.isfinite(value)):
+        raise InvalidGeometryError(f"{what} came out {np.min(value)}: a rectangle's measure overflows float64")
     if not np.all(value >= NEGATIVE_RESIDUE_FLOOR):
         raise InternalConsistencyError(f"{what} came out {np.min(value)}, far below zero")
     return np.maximum(value, 0.0)

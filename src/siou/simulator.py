@@ -12,11 +12,12 @@ are allowed.
 
 Because the closure is min-closed, the maximal meets of a_i with the earlier
 corners are a_i's lower covers, and there are few of them: usually at most
-two per step of a 2-D family. :func:`plan` groups the meets and peels their
-maxima by descending coordinate sum (Kung, Luccio & Preparata 1975), which
-costs O(i) per cover instead of an i x i dominance matrix, and gives the
-rows ``canonicalize`` would. Each step's frontier is folded once;
-:func:`simulate` reuses it through its increment.
+two per step of a 2-D family. An earlier corner is a meet of input corners
+(generators), one of them g not >= a_i, so the covers are the maxima of
+a_i's meets with such g and the origin: k + 1 meets for k generators, peeled
+by descending coordinate sum (Kung, Luccio & Preparata 1975). Near values
+are snapped before the closure, so the covers and the parent lookup compare
+exactly. Each step's frontier is folded once; :func:`simulate` reuses it.
 
 ``simulate_exact`` bypasses the sequential kernel entirely: it assembles
 the joint mean and covariance in closed form and samples in one shot. It
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, PlanningError
 from .gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, sample
-from .geometry import (GEOM_ATOL, Corner, Frontier, Increment, _as_rows, _group, _has_near_values, _maxima,
+from .geometry import (Corner, Frontier, Increment, _as_rows, _group, _has_near_values, _maxima,
                        _snap_near_values, _union, frontier, min_closure)
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
@@ -183,13 +184,13 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     reversed coordinate tuple ("revlex"). Both orders sample the same law;
     having two lets the order-independence of the sampler be tested.
     """
-    rows = _as_rows(corners)
-    if _has_near_values(np.vstack([rows, np.zeros(rows.shape[1])])):
+    gens = _as_rows(corners)
+    if _has_near_values(np.vstack([gens, np.zeros(gens.shape[1])])):
         # Near values (the origin's zeros included) can chain past GEOM_ATOL
         # through the closure's merges, and leave a meet near a merged-away
         # corner but far from its keeper. Snapped, the closure holds none.
-        rows = _snap_near_values(rows)
-    closed = min_closure(rows)
+        gens = _snap_near_values(gens)
+    closed = min_closure(gens)
     if tiebreak == "lex":
         pass
     elif tiebreak == "revlex":
@@ -199,21 +200,19 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     if any(c != 0.0 for c in closed[0].coords):
         raise PlanningError("the closure must start at the origin")
     rows = _as_rows(closed)
-    cols = np.ascontiguousarray(rows.T)  # parent search column by column, without a 3-D temporary
+    position = {c.coords: j for j, c in enumerate(closed)}
     steps = []
     for i in range(1, len(closed)):
-        # b is canonicalize(min(rows[:i], a_i)): its maxima are a_i's lower covers.
-        meets, _ = _group(np.minimum(rows[:i], rows[i]), near=False)
-        inc = Increment(closed[i], _union(_maxima(meets)))
+        # b is canonicalize(min(rows[:i], a_i)), from the meets with the generators not >= a_i.
+        meets = np.vstack([rows[:1], np.minimum(gens[~np.all(gens >= rows[i], axis=1)], rows[i])])
+        inc = Increment(closed[i], _union(_maxima(_group(meets, near=False)[0])))
         fr = frontier(inc)
-        # Each frontier corner is an earlier closure corner, up to GEOM_ATOL.
-        near = np.logical_and.reduce([np.abs(col[None, :i] - f[:, None]) <= GEOM_ATOL
-                                      for col, f in zip(cols, _as_rows(fr.corners).T)])
-        found = near.any(axis=1)
-        if not found.all():
-            corner = fr.corners[int(np.argmin(found))]
+        # Frontier corners are meets of generators, so closure corners bit for bit.
+        parents = tuple(position.get(c.coords, i) for c in fr.corners)
+        if max(parents) >= i:
+            corner = fr.corners[parents.index(max(parents))]
             raise PlanningError(f"frontier corner {corner.coords} of step {i} is not sampled before it")
-        steps.append(PlanStep(i, closed[i], inc, fr, tuple(near.argmax(axis=1).tolist())))
+        steps.append(PlanStep(i, closed[i], inc, fr, parents))
     return Plan(tuple(closed), tuple(steps))
 
 

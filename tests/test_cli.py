@@ -104,6 +104,21 @@ def test_kernel_unknown_op(tmp_path, capsys):
     assert "unknown kernel op" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_measure_is_reported_as_overflow(tmp_path, capsys):
+    cfg = write_config(tmp_path, "k.json", {
+        **KERNEL_BASE, "op": "cov_stationary", "u": [1e200, 1e200], "v": [1e200, 1e200]})
+    code, _, err = run_cli(["kernel", "--config", cfg], capsys)
+    assert code == 1
+    assert "InvalidGeometryError" in err and "overflows float64" in err
+    # The sequential sampler takes measure gaps, never symmetric differences: the same corner still samples.
+    cfg = write_config(tmp_path, "s.json", {
+        **KERNEL_BASE, "corners": [[1e200, 1e200], [1.0, 2.0]], "replicates": 4, "seed": 1})
+    code, _, _ = run_cli(["sample", "--config", cfg, "--csv", str(tmp_path / "x.csv"),
+                          "--json", str(tmp_path / "x.json")], capsys)
+    assert code == 0
+
+
 def sample_config(tmp_path, **extra):
     return write_config(tmp_path, "s.json", {
         **KERNEL_BASE,

@@ -120,6 +120,13 @@ def test_residue_clamp():
         _clamp_residue(-1e-6, "test")
 
 
+def test_overflowing_measure_is_a_geometry_error():
+    # m([0, u]) overflows to inf, so the symmetric difference is inf - inf = nan, not a negative residue.
+    huge = Corner((1e200, 1e200))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidGeometryError, match="overflows float64"):
+        measure_symdiff(LEB, huge, huge)
+
+
 def test_alpha_validation():
     with pytest.raises(InvalidGeometryError):
         MeasureSpec.axis((1.0, 0.0))

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siou import simulator
 from siou.errors import ConfigError, InternalConsistencyError, PlanningError
 from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
-from siou.geometry import GEOM_ATOL, Corner, Increment, canonicalize, frontier, min_closure
+from siou.geometry import GEOM_ATOL, Corner, Frontier, Increment, canonicalize, frontier, min_closure
 from siou.kernel import KernelParams, cov_dirac, cov_matrix, cov_stationary, mean_dirac, transition_params
 from siou.measures import MeasureSpec
 from siou.simulator import InitialLaw, plan, simulate, simulate_exact
@@ -85,12 +86,12 @@ def _reference_plan_json(corners, tiebreak):
 
 @st.composite
 def near_families(draw):
-    """Quarter-grid families in dimensions 1-4; some coordinates moved by less than GEOM_ATOL."""
+    """Quarter-grid families in dimensions 1-4, axis corners included; some coordinates moved by less than GEOM_ATOL."""
     dim = draw(st.integers(1, 4))
     k = draw(st.integers(1, 8 if dim <= 2 else 5))
-    quarters = draw(st.lists(st.tuples(*[st.integers(1, 6)] * dim), min_size=k, max_size=k))
+    quarters = draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=k, max_size=k))
     shifts = st.sampled_from((0.0, 0.0, 3e-13, -4e-13, 9e-13))
-    return [Corner(tuple(0.25 * q + draw(shifts) for q in c)) for c in quarters]
+    return [Corner(tuple(max(0.25 * q + draw(shifts), 0.0) for q in c)) for c in quarters]
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,6 +112,15 @@ def _plan_digest(corners, tiebreak):
 
 
 GRID_12 = [Corner((0.25 * i, 0.25 * j)) for i in range(1, 13) for j in range(1, 13)]
+# Corners on the axes: their meets fall on the axes and at the origin.
+AXIS_3D = [Corner(c) for c in ((0.5, 0.0, 1.0), (0.0, 0.75, 0.5), (1.0, 0.5, 0.0), (0.25, 1.0, 0.75),
+                               (0.0, 0.0, 1.25), (1.0, 1.0, 1.0))]
+
+
+def _antichain_and_top(m):
+    """A 2-D antichain of m corners plus a corner above them all, whose step has 2m - 1 parents."""
+    anti = [Corner((0.25 * i, 0.25 * (m + 1 - i))) for i in range(1, m + 1)]
+    return anti + [Corner((0.25 * (m + 1), 0.25 * (m + 1)))]
 
 
 @pytest.mark.parametrize("corners, tiebreak, digest", [
@@ -118,9 +128,19 @@ GRID_12 = [Corner((0.25 * i, 0.25 * j)) for i in range(1, 13) for j in range(1, 
     (GRID_12, "revlex", "fb69e016e25f90ce203da70090d4bb6cbf4fd5d1d51b7e5c70b511b0943ab1e6"),
     (FAMILY, "lex", "e88d494921bcc26c76b260c453a51e837ae594f82b1cf2f8e24f83a7d434cd18"),
     (FAMILY, "revlex", "818f5d1f4240284410066587700f55df823466116f9b14b9fc35213aea72048d"),
+    (_antichain_and_top(20), "lex", "8a8f965cf4cc193dfe26c0baa699c58aad439c3e0817fe1970249c33b1b9ddc1"),
+    (_antichain_and_top(20), "revlex", "59f8cdbd73ab62b8c62bb028871a74190d369be8665a88bb8e84f5c995fb9bad"),
+    (AXIS_3D, "lex", "ba54403dfb9314407740b0d674f528711f9550024e3d87fda09ea7af11da6189"),
 ])
 def test_plan_json_bytes_are_pinned(corners, tiebreak, digest):
     assert _plan_digest(corners, tiebreak) == digest
+
+
+@pytest.mark.parametrize("stray", [lambda inc: Corner((0.3, 0.3)), lambda inc: inc.a], ids=["outside", "not_earlier"])
+def test_plan_refuses_a_frontier_corner_not_sampled_before_its_step(monkeypatch, stray):
+    monkeypatch.setattr(simulator, "frontier", lambda inc: Frontier(((stray(inc), 1),)))
+    with pytest.raises(PlanningError, match="not sampled before it"):
+        plan(FAMILY)
 
 
 def test_sixty_corner_antichain_plan_ends_in_the_closed_form_frontier():
@@ -147,12 +167,6 @@ def test_plan_snaps_coordinates_that_chain_within_tolerance():
         for step in pl.steps:
             tp = transition_params(params, step.increment)
             assert schur_gap(tp, cov_matrix(params, [step.a] + [c for c, _ in tp.weights])) <= 1e-8
-
-
-def _antichain_and_top(m):
-    """A 2-D antichain of m corners plus a corner above them all, whose step has 2m - 1 parents."""
-    anti = [Corner((0.25 * i, 0.25 * (m + 1 - i))) for i in range(1, m + 1)]
-    return anti + [Corner((0.25 * (m + 1), 0.25 * (m + 1)))]
 
 
 def _one_shot(pl, params, initial, replicates, seed):
