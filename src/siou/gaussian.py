@@ -8,8 +8,8 @@ distinct stream values rather than partitioning one stream. A stream also
 splits into numbered substreams (``RngSeed.substream``): SFC64 generators
 seeded by the children of the stream's SeedSequence, which need nothing of
 Philox's counter design and draw normals in about two thirds of its time.
-The sheet sampler draws replicate block b from substream b, so its output
-does not depend on how many threads fill the blocks.
+The sheet sampler draws replicate block b from substream b, so a run's
+first blocks do not depend on how many replicates it draws.
 
 Factorization is Cholesky. Exactly zero rows (a point start's origin, and
 axis corners under the Lebesgue measure) are deflated: LAPACK factors the

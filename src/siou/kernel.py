@@ -151,6 +151,7 @@ def transition_params(params: KernelParams, inc: Increment) -> TransitionParams:
     A variance that is negative beyond roundoff raises; a tiny negative
     clamps to exactly 0, the degenerate (measure-zero increment) case. The
     frontier is the one the increment already holds, if a plan folded it.
+    An overflowing measure gap (inf - inf) raises InvalidGeometryError.
     """
     m = params.measure
     m.check_dim(inc.dim)
@@ -159,7 +160,11 @@ def transition_params(params: KernelParams, inc: Increment) -> TransitionParams:
     weights = []
     ssum = 0.0
     for corner, sign in fr.entries:
-        gap = max(ma - measure_rect(m, corner), 0.0)
+        gap = ma - measure_rect(m, corner)
+        if math.isnan(gap):
+            raise InvalidGeometryError(f"the measure gap from {corner.coords} to {inc.a.coords} came out nan: "
+                                       "a rectangle's measure overflows float64")
+        gap = max(gap, 0.0)
         weights.append((corner, sign * math.exp(-params.lam * gap)))
         ssum += sign * math.exp(-2.0 * params.lam * gap)
     variance = params.stationary_variance * (1.0 - ssum)

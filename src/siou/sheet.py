@@ -17,17 +17,23 @@ cell centers u <= t. The grid's lower corner stands in for -infinity;
 exp(-2 min_i alpha_i L) for a tail cut at distance L, which is how the
 lower corner should be chosen.
 
-``batch_paths`` draws noise only on the support: the cells, in C order,
-whose center lies in some point's integration region. Each of its rows
-consumes one normal per support cell, so a row equals the integrals of a
-``sheet_increments`` field of the same seed in law, and draw for draw
-(row 0 against the field) only when the support is the whole grid.
+``batch_paths`` draws one normal per region instead of one per cell. The
+support is the set of cells whose center lies in some point's integration
+region, and a region is a group of support cells that lie in exactly the
+same points' integration regions. A cell c adds exp(<alpha, u_c - t_p>)
+dW(u_c) to point p, and the exponent splits as <alpha, u_c> - <alpha,
+t_p>, so within a region the cells' weight rows are proportional: their
+noise reaches every point of the region through one Gaussian, the sum of
+exp(<alpha, u_c>) dW(u_c) over the region. One standard normal times
+G[A, p] = sqrt(cell volume * sum over c in A of W[c, p]^2) has that
+Gaussian's law, and G^T G equals cell volume * W^T W. The rows are
+therefore exactly the midpoint sums of a ``sheet_increments`` field in
+law, with the same drift and covariance, and a row takes at most
+min(support, 2^P - 1) normals for P points.
 Replicates are drawn in blocks of ``BLOCK_ROWS`` rows, block b from
-substream b of the seed's stream (``RngSeed.substream``, SFC64 because
-the normal draws are most of the time), and the blocks are filled by a
-thread pool with one worker per usable CPU. The output depends only on
-the seed and this block layout, never on the number of workers or their
-scheduling; ``sheet_increments`` draws from substream 0.
+substream b of the seed's stream (``RngSeed.substream``, an SFC64
+generator), so the output depends only on the seed and this block
+layout; ``sheet_increments`` draws from substream 0.
 
 Restricted to rectangles [0, t] with t >= 0, the stationary integral is a
 set-indexed OU field in law for the axis measure with weights alpha, unit
@@ -42,7 +48,6 @@ representation checks compare against.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,8 +72,6 @@ __all__ = [
 
 # batch_paths draws block b of this many replicate rows from substream b.
 BLOCK_ROWS = 64
-# Most replicate rows whose normals the workers of one batch_paths call hold at once.
-MAX_ROWS_IN_FLIGHT = 512
 
 
 @dataclass(frozen=True)
@@ -142,8 +145,9 @@ class SheetField:
 def sheet_increments(spec: GridSpec, seed: RngSeed) -> SheetField:
     """Draw the grid's white-noise increments, one Normal(0, cell volume) per cell.
 
-    The normals come from substream 0 in C order, as row 0 of ``batch_paths``
-    draws them when its support is the whole grid.
+    The normals come from substream 0 in C order. ``batch_paths`` samples
+    the integrals of such a field in law, one normal per region, so its
+    rows do not reuse these draws.
     """
     z = seed.substream(0).standard_normal(spec.steps)
     return SheetField(spec, z * math.sqrt(spec.cell_volume), seed)
@@ -246,14 +250,27 @@ def equivalent_kernel_params(alpha, sigma: float) -> KernelParams:
     return KernelParams(lam=1.0, sigma=sigma_eff, measure=MeasureSpec.axis(tuple(a)))
 
 
-def _worker_count(blocks: int) -> int:
-    """Threads for ``blocks`` replicate blocks: one per usable CPU, at most one per
-    block, and few enough that at most MAX_ROWS_IN_FLIGHT rows are drawn at once."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks, MAX_ROWS_IN_FLIGHT // BLOCK_ROWS))
+def _region_weights(W: np.ndarray, cell_volume: float) -> np.ndarray:
+    """Per-region weights ``G`` with ``G.T @ G == cell_volume * W.T @ W``: one row per region.
+
+    A region is the set of support cells whose rows of ``W > 0`` agree;
+    cells that carry no weight form no region. Within a region the rows of
+    ``W`` are proportional (each cell's row is exp(<alpha, u>) times one
+    vector), so G[A, p] = sqrt(cell_volume * sum over c in A of
+    W[c, p]^2) weights one standard normal with the law of the region's
+    contribution. Each entry is summed relative to its largest term, so
+    neither a large sigma nor a steep alpha overflows or underflows the
+    squares.
+    """
+    patterns, region = np.unique(W > 0.0, axis=0, return_inverse=True)
+    region = region.reshape(-1)
+    peak = np.zeros((len(patterns), W.shape[1]))
+    np.maximum.at(peak, region, W)
+    peak[peak == 0.0] = 1.0
+    sumsq = np.zeros_like(peak)
+    np.add.at(sumsq, region, (W / peak[region]) ** 2)
+    G = peak * np.sqrt(sumsq) * math.sqrt(cell_volume)
+    return G[patterns.any(axis=1)]
 
 
 def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, seed: RngSeed,
@@ -262,38 +279,26 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
 
     Returns a (replicates, len(points)) array whose row r holds the
     integrate_mpou (or integrate_stationary) values at every point for the
-    r-th independent sheet. Noise is drawn only on the support cells, in C
-    order: each row consumes one normal per support cell, so it equals the
-    integrate_* values of a ``sheet_increments`` field of the same seed in
-    law, and draw for draw only when the support is the whole grid.
+    r-th independent sheet, in law: each row draws one normal per region
+    (``_region_weights``), not per cell, and has the drift and covariance
+    of the midpoint sums over a ``sheet_increments`` field.
 
     Rows [64 b, 64 b + 64) form block b (``BLOCK_ROWS``), drawn from
-    ``seed.substream(b)``, an SFC64 generator; a thread pool fills the
-    blocks, each worker writing ``drift + einsum(z, W.T)`` into its own
-    rows. einsum without ``optimize`` calls no BLAS routine, so the
-    product starts no BLAS threads. The output depends only on the
-    arguments and this block layout: it is bit-identical for any worker
-    count, and a run's first 64 k rows equal those of any longer run
-    with the same seed.
+    ``seed.substream(b)``, an SFC64 generator, as ``drift + einsum(z,
+    G.T)``. The output depends only on the arguments and this block
+    layout, and a run's first 64 k rows equal those of any longer run with
+    the same seed.
     """
-    # Imported here: concurrent.futures loads logging, about 7 ms that only sheet sampling needs.
-    from concurrent.futures import ThreadPoolExecutor
-
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
     if len(points) == 0:
         raise ConfigError("a sheet needs at least one point")
-    support, W, drift = _cell_weights(spec, alpha, sigma, points, y0, stationary)
-    Wt = np.ascontiguousarray(W.T) * math.sqrt(spec.cell_volume)
-    out = np.empty((replicates, Wt.shape[0]))
-
-    def fill(block: int) -> None:
-        rows = out[block * BLOCK_ROWS : (block + 1) * BLOCK_ROWS]
-        z = seed.substream(block).standard_normal((len(rows), support.size))
-        np.einsum("rc,pc->rp", z, Wt, out=rows)
+    _, W, drift = _cell_weights(spec, alpha, sigma, points, y0, stationary)
+    Gt = np.ascontiguousarray(_region_weights(W, spec.cell_volume).T)
+    out = np.empty((replicates, Gt.shape[0]))
+    for block, start in enumerate(range(0, replicates, BLOCK_ROWS)):
+        rows = out[start : start + BLOCK_ROWS]
+        z = seed.substream(block).standard_normal((len(rows), Gt.shape[1]))
+        np.einsum("rk,pk->rp", z, Gt, out=rows)
         rows += drift
-
-    blocks = -(-replicates // BLOCK_ROWS)
-    with ThreadPoolExecutor(_worker_count(blocks)) as pool:
-        list(pool.map(fill, range(blocks)))
     return out

@@ -457,3 +457,47 @@ def test_sample_outputs_match_golden_digests(tmp_path, capsys, name):
     assert code == 0
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
     assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_digest
+
+
+# SHA-256 of `siou sheet` outputs for two fixed-seed configs. Any change in
+# the sheet's draws, its weights or how values are serialized changes these digests.
+GOLDEN_SHEET = {
+    "dirac_2d": (
+        {
+            "grid": {"lower": [-2.0, -2.0], "upper": [1.0, 1.0], "steps": [12, 12]},
+            "alpha": [1.0, 2.0],
+            "sigma": 0.8,
+            "points": [[0.5, 0.5], [1.0, 0.25], [1.0, 1.0]],
+            "mode": "dirac",
+            "y0": 0.4,
+            "replicates": 150,
+            "seed": 31,
+        },
+        "63e41319c32434ff306c376133ec36da69913a3422751fb5d3ff88ebb9dd8e88",
+        "edb276863634b977ab8280e9c5115d9d445e2ac729445489736694cf53a353f0",
+    ),
+    "stationary_1d": (
+        {
+            "grid": {"lower": [-4.0], "upper": [1.0], "steps": [50]},
+            "alpha": [1.2],
+            "sigma": 1.0,
+            "points": [[0.3], [0.75], [1.0]],
+            "mode": "stationary",
+            "replicates": 150,
+            "seed": {"seed": 7, "stream": 3},
+        },
+        "6dcb2abf248c823810ad349b593d19427761f89f1deef43f0d2708d87d0e9b74",
+        "a7d9974cee7e9e1657416ddb9bf2d78e960ed88221c9422ad4838e05e81e7d8c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHEET))
+def test_sheet_outputs_match_golden_digests(tmp_path, capsys, name):
+    payload, csv_digest, json_digest = GOLDEN_SHEET[name]
+    cfg = write_config(tmp_path, "g.json", payload)
+    csv_path, json_path = tmp_path / "g.csv", tmp_path / "g.out.json"
+    code, _, _ = run_cli(["sheet", "--config", cfg, "--csv", str(csv_path), "--json", str(json_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_digest

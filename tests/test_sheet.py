@@ -2,9 +2,6 @@
 
 import itertools
 import math
-import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,23 +165,41 @@ def test_batch_paths_needs_at_least_one_point(stationary):
 PTS_2D = [(0.25, 0.25), (0.5, 1.0), (1.0, 1.0)]
 
 
-def _with_workers(monkeypatch, n):
-    monkeypatch.setattr(sheet, "_worker_count", lambda blocks: n)
+def _regions(W):
+    """Each support cell's region index, in the order ``_region_weights`` gives its rows."""
+    patterns, region = np.unique(W > 0.0, axis=0, return_inverse=True)
+    assert patterns.any(axis=1).all()
+    return region.reshape(-1)
 
 
-def test_batch_paths_bit_identical_for_any_worker_count(monkeypatch):
-    runs = []
-    for n in (1, 2, 8):
-        _with_workers(monkeypatch, n)
-        runs.append(batch_paths(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 300, RngSeed(9), y0=0.2))
-    assert runs[0].shape == (300, 3)
-    for other in runs[1:]:
-        np.testing.assert_array_equal(runs[0], other)
-    # block 0 is drift + einsum(z, W.T) over the first 64 rows of substream 0, bit for bit
-    support, W, drift = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 0.2)
-    z = RngSeed(9).substream(0).standard_normal((sheet.BLOCK_ROWS, support.size))
-    wt = np.ascontiguousarray(W.T) * math.sqrt(GRID_2D.cell_volume)
-    np.testing.assert_array_equal(runs[0][: sheet.BLOCK_ROWS], drift + np.einsum("rc,pc->rp", z, wt))
+def _field_realizing(spec, support, W, z, seed, junk=1e6):
+    """A sheet field whose midpoint sums equal ``drift + z @ G``, junk off the support.
+
+    Region A's normal z[A] spreads over its cells along their weights,
+    dW(c) = z[A] * sqrt(cell volume) * W[c, p] / |W[A, p]| for a point p
+    of the region. The weight rows of a region are proportional, so every
+    point of the region reads z[A] * G[A, p].
+    """
+    region = _regions(W)
+    flat = np.full(spec.ncells, junk)
+    for a in range(region.max() + 1):
+        cells = region == a
+        col = W[cells, np.flatnonzero(W[cells][0] > 0.0)[0]]
+        flat[support[cells]] = z[a] * math.sqrt(spec.cell_volume) * col / np.linalg.norm(col)
+    return SheetField(spec, flat.reshape(spec.steps), seed)
+
+
+def test_batch_paths_block_zero_is_drift_plus_region_product():
+    got = batch_paths(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 300, RngSeed(9), y0=0.2)
+    assert got.shape == (300, 3)
+    _, W, drift = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 0.2)
+    Gt = np.ascontiguousarray(sheet._region_weights(W, GRID_2D.cell_volume).T)
+    # block 0 is drift + einsum(z, G) over the first 64 rows of substream 0, bit for bit,
+    # and the short last block (rows 256-299) reads substream 4
+    for block, rows in ((0, sheet.BLOCK_ROWS), (4, 300 - 4 * sheet.BLOCK_ROWS)):
+        z = RngSeed(9).substream(block).standard_normal((rows, Gt.shape[1]))
+        first = block * sheet.BLOCK_ROWS
+        np.testing.assert_array_equal(got[first : first + rows], drift + np.einsum("rk,pk->rp", z, Gt))
 
 
 def test_batch_paths_prefix_does_not_depend_on_the_replicate_count():
@@ -194,53 +209,17 @@ def test_batch_paths_prefix_does_not_depend_on_the_replicate_count():
     np.testing.assert_array_equal(short[:256], long[:256])
 
 
-def test_more_workers_than_cores_with_a_short_switch_interval_match_one_worker(monkeypatch):
-    workers = 2 * (os.cpu_count() or 1) + 1
-    replicates = 3 * workers * sheet.BLOCK_ROWS
-    args = (GRID_2D, (1.0, 2.0), 0.8, PTS_2D, replicates, RngSeed(16))
-    _with_workers(monkeypatch, 1)
-    want = batch_paths(*args)
-    _with_workers(monkeypatch, workers)
-    runner = ThreadPoolExecutor(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = runner.submit(batch_paths, *args).result(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-        runner.shutdown(wait=False)
-    np.testing.assert_array_equal(got, want)
-
-
-def test_worker_count_follows_the_cpu_affinity_within_its_caps(monkeypatch):
-    monkeypatch.setattr(sheet.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert sheet._worker_count(100) == sheet.MAX_ROWS_IN_FLIGHT // sheet.BLOCK_ROWS
-    assert sheet._worker_count(3) == 3
-    assert sheet._worker_count(0) == 1
-    monkeypatch.setattr(sheet.os, "sched_getaffinity", lambda pid: {0})
-    assert sheet._worker_count(100) == 1
-    monkeypatch.delattr(sheet.os, "sched_getaffinity")
-    monkeypatch.setattr(sheet.os, "cpu_count", lambda: 2)
-    assert sheet._worker_count(100) == 2
-
-
-def _field_from_support_draws(spec, support, seed, junk=1e6):
-    """The field row 0 of batch_paths sees: its draws on the support, junk elsewhere."""
-    flat = np.full(spec.ncells, junk)
-    flat[support] = seed.substream(0).standard_normal((1, support.size))[0] * math.sqrt(spec.cell_volume)
-    return SheetField(spec, flat.reshape(spec.steps), seed)
-
-
 def test_batch_paths_first_row_matches_pointwise_integrals():
-    # Row 0 reads only the support draws, so junk in every other cell
-    # leaves the pointwise integrals unchanged.
+    # Row 0 equals the pointwise integrals of a field that spreads each region's
+    # normal over the region's cells; junk in every other cell changes nothing.
     pts = [Corner((0.25,)), Corner((0.75,))]
     alpha, sigma, y0 = (1.2,), 0.8, 0.4
     for stationary in (False, True):
         rows = batch_paths(GRID_1D, alpha, sigma, pts, 1, RngSeed(10), y0=y0, stationary=stationary)
-        support, _, _ = _cell_weights(GRID_1D, alpha, sigma, pts, y0, stationary)
+        support, W, _ = _cell_weights(GRID_1D, alpha, sigma, pts, y0, stationary)
         assert support.size < GRID_1D.ncells
-        f = _field_from_support_draws(GRID_1D, support, RngSeed(10))
+        z = RngSeed(10).substream(0).standard_normal((1, _regions(W).max() + 1))[0]
+        f = _field_realizing(GRID_1D, support, W, z, RngSeed(10))
         for j, t in enumerate(pts):
             if stationary:
                 want = integrate_stationary(f, alpha, sigma, t)
@@ -255,29 +234,53 @@ def test_steep_alpha_dirac_paths_stay_finite():
     spec, alpha, pt = GridSpec((-1.0,), (2.0,), (30,)), (400.0,), Corner((1.9,))
     rows = batch_paths(spec, alpha, 1.0, [pt], 3, RngSeed(1), y0=0.5)
     assert np.all(np.isfinite(rows))
-    support, _, _ = _cell_weights(spec, alpha, 1.0, [pt], 0.5)
-    draws = RngSeed(1).substream(0).standard_normal((3, support.size)) * math.sqrt(spec.cell_volume)
+    support, W, _ = _cell_weights(spec, alpha, 1.0, [pt], 0.5)
+    G = sheet._region_weights(W, spec.cell_volume)
+    assert G.shape == (1, 1) and G[0, 0] > 0.0
+    z = RngSeed(1).substream(0).standard_normal((3, 1))
     for r in range(3):
-        flat = np.zeros(spec.ncells)
-        flat[support] = draws[r]
-        want = integrate_mpou(SheetField(spec, flat.reshape(spec.steps), RngSeed(1)), alpha, 1.0, 0.5, pt)
+        f = _field_realizing(spec, support, W, z[r], RngSeed(1))
+        want = integrate_mpou(f, alpha, 1.0, 0.5, pt)
         assert math.isfinite(want)
         assert abs(rows[r, 0] - want) <= 1e-10 * (1.0 + abs(want))
+    # Stationary, the cells centered below 0.04 carry weights that underflow to 0:
+    # they form no region, so each replicate still draws one normal.
+    seed = _CountingSeed(RngSeed(1))
+    rows = batch_paths(spec, alpha, 1.0, [pt], 3, seed, stationary=True)
+    _, W, _ = _cell_weights(spec, alpha, 1.0, [pt], stationary=True)
+    assert np.any(W == 0.0) and np.all(np.isfinite(rows))
+    assert seed.drawn == 3
 
 
-def test_whole_grid_support_draws_the_full_grid_noise():
-    # A stationary point at the upper corner puts every cell in the support,
-    # so row 0 consumes the same normals as sheet_increments.
+def test_sigma_whose_square_overflows_keeps_finite_paths():
+    # sigma^2 overflows float64, so the region weights must not square raw cell weights.
+    pts = [(0.25, 0.5), (1.0, 1.0)]
+    unit = batch_paths(GRID_2D, (1.0, 2.0), 1.0, pts, 70, RngSeed(19), stationary=True)
+    huge = batch_paths(GRID_2D, (1.0, 2.0), 1e200, pts, 70, RngSeed(19), stationary=True)
+    assert np.all(np.isfinite(huge))
+    np.testing.assert_allclose(huge, 1e200 * unit, rtol=1e-12)
+
+
+def _gram_gap(G, W, cell_volume):
+    """Largest entrywise relative gap between G.T @ G and cell_volume * W.T @ W."""
+    want = cell_volume * (W.T @ W)
+    return float(np.max(np.abs(G.T @ G - want) / np.maximum(np.abs(want), np.finfo(float).tiny), initial=0.0))
+
+
+def test_whole_grid_support_has_the_covariance_of_the_grid_noise():
+    # A stationary point at the upper corner puts every cell in the support.
+    # The integrals of a sheet_increments field are increments @ W, whose
+    # covariance is cell_volume * W.T @ W; the two regions' weights match it.
     pts = [Corner((0.25, 0.5)), Corner((1.0, 1.0))]
-    support, _, _ = _cell_weights(GRID_2D, (1.0, 2.0), 1.0, pts, stationary=True)
+    support, W, _ = _cell_weights(GRID_2D, (1.0, 2.0), 1.0, pts, stationary=True)
     assert np.array_equal(support, np.arange(GRID_2D.ncells))
-    rows = batch_paths(GRID_2D, (1.0, 2.0), 1.0, pts, 1, RngSeed(13), stationary=True)
     f = sheet_increments(GRID_2D, RngSeed(13))
-    z = RngSeed(13).substream(0).standard_normal(GRID_2D.steps)
-    np.testing.assert_array_equal(f.increments, z * math.sqrt(GRID_2D.cell_volume))
     for j, t in enumerate(pts):
-        want = integrate_stationary(f, (1.0, 2.0), 1.0, t)
-        assert abs(rows[0, j] - want) <= 1e-10 * (1.0 + abs(want))
+        want = float(f.increments.ravel() @ W[:, j])
+        assert abs(integrate_stationary(f, (1.0, 2.0), 1.0, t) - want) <= 1e-12 * (1.0 + abs(want))
+    G = sheet._region_weights(W, GRID_2D.cell_volume)
+    assert G.shape == (2, 2)
+    assert _gram_gap(G, W, GRID_2D.cell_volume) <= 1e-12
 
 
 class _CountingSeed:
@@ -300,7 +303,6 @@ class _CountingSeed:
                 self.drawn += int(np.prod(size))
                 return gen.standard_normal(size)
 
-        # list.append is atomic, and each counter is only touched by the worker that owns it
         counter = Counting()
         self.blocks.append(index)
         self.counters.append(counter)
@@ -315,14 +317,16 @@ def test_dirac_points_at_the_origin_return_y0_and_draw_nothing():
     assert seed.drawn == 0
 
 
-def test_support_draws_count_one_normal_per_support_cell():
+def test_support_draws_count_one_normal_per_region():
+    # Three regions: cells below both points, below only the first, below only the second.
     pts = [(0.5, 0.5), (1.0, 0.25)]
     seed = _CountingSeed(RngSeed(15))
     batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, seed)
     support, W, _ = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, pts)
-    assert seed.drawn == 300 * support.size
+    G = sheet._region_weights(W, GRID_2D.cell_volume)
+    assert G.shape == (3, 2) and support.size > 3
+    assert seed.drawn == 300 * G.shape[0]
     assert sorted(seed.blocks) == list(range(5))
-    assert W.shape == (support.size, 2)
 
 
 @st.composite
@@ -356,6 +360,66 @@ def test_cell_weights_support_matches_a_brute_force_mask(case):
     assert support.tolist() == want
     assert W.shape == (len(want), len(points))
     assert np.array_equal(W > 0.0, np.array(regions, dtype=bool).reshape(W.shape))
+
+
+class _ZeroSeed:
+    """Stands in for RngSeed and draws only zeros, so batch_paths returns its drift."""
+
+    def substream(self, index):
+        class Zeros:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        return Zeros()
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_points())
+def test_region_weights_have_the_law_of_the_cell_weights(case):
+    spec, points, stationary = case
+    alpha = (1.0, 0.5, 2.0)[: spec.dim]
+    support, W, drift = _cell_weights(spec, alpha, 0.7, points, 0.2, stationary)
+    G = sheet._region_weights(W, spec.cell_volume)
+    assert G.shape[1] == len(points)
+    assert G.shape[0] <= min(support.size, 2 ** len(points) - 1)
+    assert _gram_gap(G, W, spec.cell_volume) <= 1e-12
+    rows = batch_paths(spec, alpha, 0.7, points, 3, _ZeroSeed(), y0=0.2, stationary=stationary)
+    np.testing.assert_array_equal(rows, np.broadcast_to(drift, rows.shape))
+
+
+def test_region_weights_summed_linearly_fail_the_law():
+    # Negative control: adding a region's weights instead of their squares
+    # gives the variance of fully correlated cells, not independent ones.
+    support, W, _ = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 0.2)
+    region = _regions(W)
+    linear = np.zeros((region.max() + 1, W.shape[1]))
+    np.add.at(linear, region, W)
+    linear *= math.sqrt(GRID_2D.cell_volume)
+    assert support.size > linear.shape[0]
+    assert _gram_gap(linear, W, GRID_2D.cell_volume) > 1e-12
+    assert _gram_gap(sheet._region_weights(W, GRID_2D.cell_volume), W, GRID_2D.cell_volume) <= 1e-12
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+def test_batch_paths_agree_with_integrals_of_grid_noise(stationary):
+    # Two-sample check at 5 SE: integrate_* over independent sheet_increments
+    # fields against batch_paths, on means and covariances around the drift.
+    spec, alpha, sigma, y0 = GridSpec((-2.0, -2.0), (1.0, 1.0), (6, 6)), (1.0, 2.0), 0.8, 0.3
+    pts = [Corner((0.5, 0.5)), Corner((1.0, 0.25)), Corner((1.0, 1.0))]
+    _, _, drift = _cell_weights(spec, alpha, sigma, pts, y0, stationary)
+    fields = []
+    for k in range(3000):
+        f = sheet_increments(spec, RngSeed(17, k))
+        if stationary:
+            fields.append([integrate_stationary(f, alpha, sigma, t) for t in pts])
+        else:
+            fields.append([integrate_mpou(f, alpha, sigma, y0, t) for t in pts])
+    paths = batch_paths(spec, alpha, sigma, pts, 20_000, RngSeed(18), y0=y0, stationary=stationary)
+    samples = [np.asarray(fields) - drift, paths - drift]
+    stats = [[x] + [x[:, i] * x[:, j] for i in range(len(pts)) for j in range(i, len(pts))] for x in samples]
+    for a, b in zip(stats[0], stats[1]):
+        se = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5.0 * se)
 
 
 def test_stationary_sheet_matches_kernel_covariance():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siou import simulator
-from siou.errors import ConfigError, InternalConsistencyError, PlanningError
+from siou.errors import ConfigError, InternalConsistencyError, InvalidGeometryError, PlanningError
 from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
 from siou.geometry import GEOM_ATOL, Corner, Frontier, Increment, canonicalize, frontier, min_closure
 from siou.kernel import KernelParams, cov_dirac, cov_matrix, cov_stationary, mean_dirac, transition_params
@@ -155,6 +155,14 @@ def test_sixty_corner_antichain_plan_ends_in_the_closed_form_frontier():
     assert len(want) == 119
     assert hashlib.sha256(json.dumps(pl.to_json()).encode()).hexdigest() == (
         "5775491f61ebc32aeb55066842ed59b8db202a3a8085262e03460b06acc4cb01")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_measure_gap_is_a_geometry_error():
+    # Both rectangles' measures overflow to inf, so the top step's gap is inf - inf = nan.
+    pl = plan([(1e200, 1e200), (1e200, 1e199)])
+    with pytest.raises(InvalidGeometryError, match="overflows float64"):
+        simulate(pl, P, InitialLaw.dirac(0.0), 4, RngSeed(1))
 
 
 def test_plan_snaps_coordinates_that_chain_within_tolerance():
