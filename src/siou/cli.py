@@ -81,16 +81,23 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """A config integer: an int or an integral float, never a bool, so 3.9 or true is an error, not 3 or 1."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _seed_from(value, override: int | None) -> RngSeed:
     if override is not None:
         return RngSeed(override)
     if value is None:
         raise ConfigError("a seed is required: set it in the config or pass --seed")
-    if isinstance(value, int):
-        return RngSeed(value)
     if isinstance(value, dict):
-        return RngSeed(int(value.get("seed", 0)), int(value.get("stream", 0)))
-    raise ConfigError(f"cannot parse seed {value!r}")
+        return RngSeed(_integer(value["seed"], "seed"), _integer(value.get("stream", 0), "stream"))
+    return RngSeed(_integer(value, "seed"))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -134,7 +141,7 @@ def _cmd_frontier(args) -> int:
 
 def _kernel_params_from(cfg: dict, args) -> tuple[KernelParams, int]:
     with _config_phase():
-        dim = int(cfg["dimension"])
+        dim = _integer(cfg["dimension"], "dimension")
         measure = MeasureSpec.from_json(cfg["measure"])
         kcfg = dict(cfg["kernel"])
         if getattr(args, "lam", None) is not None:
@@ -182,7 +189,8 @@ def _cmd_sample(args) -> int:
         if not corners:
             raise ConfigError("sample config needs a nonempty corners list")
         initial = InitialLaw.from_json(cfg.get("initial", {"kind": "normal", "mu": 0.0, "var": params.stationary_variance}))
-        replicates = int(args.replicates if args.replicates is not None else cfg.get("replicates", 0))
+        replicates = _integer(args.replicates if args.replicates is not None else cfg.get("replicates", 0),
+                              "replicates")
         if replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {replicates}")
         seed = _seed_from(cfg.get("seed"), args.seed)
@@ -221,7 +229,8 @@ def _cmd_sheet(args) -> int:
         if mode not in ("stationary", "dirac"):
             raise ConfigError(f"unknown sheet mode {mode!r}; pick stationary or dirac")
         y0 = float(cfg.get("y0", 0.0))
-        replicates = int(args.replicates if args.replicates is not None else cfg.get("replicates", 0))
+        replicates = _integer(args.replicates if args.replicates is not None else cfg.get("replicates", 0),
+                              "replicates")
         if replicates < 2:
             raise ConfigError(f"sheet replicates must be >= 2 for the empirical covariance, got {replicates}")
         seed = _seed_from(cfg.get("seed"), args.seed)

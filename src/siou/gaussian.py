@@ -4,12 +4,7 @@ Sampling is deterministic by construction. A (seed, stream) pair addresses
 a Philox counter-based bit generator through numpy's SeedSequence, and
 standard normals come from the Generator's ziggurat implementation, which
 is stable across runs on a given platform. Parallel consumers should take
-distinct stream values rather than partitioning one stream. A stream also
-splits into numbered substreams (``RngSeed.substream``): SFC64 generators
-seeded by the children of the stream's SeedSequence, which need nothing of
-Philox's counter design and draw normals in about two thirds of its time.
-The sheet sampler draws replicate block b from substream b, so a run's
-first blocks do not depend on how many replicates it draws.
+distinct stream values rather than partitioning one stream.
 
 Factorization is Cholesky. Exactly zero rows (a point start's origin, and
 axis corners under the Lebesgue measure) are deflated: LAPACK factors the
@@ -62,17 +57,6 @@ class RngSeed:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(ss))
-
-    def substream(self, index: int) -> np.random.Generator:
-        """SFC64 generator of substream ``index`` of this stream.
-
-        Its seed is ``SeedSequence(entropy=seed, spawn_key=(stream,)).spawn(n)[index]``
-        for any n > index, so substream b is the same however many a caller uses.
-        SFC64, not Philox: the SeedSequence child already makes the substream
-        independent, and SFC64 draws normals faster.
-        """
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, index))
-        return np.random.Generator(np.random.SFC64(ss))
 
     def child(self, offset: int) -> "RngSeed":
         """Seed for an independent stream, offset from this one."""

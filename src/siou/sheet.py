@@ -29,11 +29,9 @@ G[A, p] = sqrt(cell volume * sum over c in A of W[c, p]^2) has that
 Gaussian's law, and G^T G equals cell volume * W^T W. The rows are
 therefore exactly the midpoint sums of a ``sheet_increments`` field in
 law, with the same drift and covariance, and a row takes at most
-min(support, 2^P - 1) normals for P points.
-Replicates are drawn in blocks of ``BLOCK_ROWS`` rows, block b from
-substream b of the seed's stream (``RngSeed.substream``, an SFC64
-generator), so the output depends only on the seed and this block
-layout; ``sheet_increments`` draws from substream 0.
+min(support, 2^P - 1) normals for P points. ``batch_paths`` and
+``sheet_increments`` draw from ``RngSeed.generator()``, like every other
+sampler in the package.
 
 Restricted to rectangles [0, t] with t >= 0, the stationary integral is a
 set-indexed OU field in law for the axis measure with weights alpha, unit
@@ -55,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidGridError, OutOfRangeError
 from .gaussian import RngSeed
-from .geometry import Corner
+from .geometry import GEOM_ATOL, Corner
 from .kernel import KernelParams
 from .measures import MeasureSpec
 
@@ -70,8 +68,8 @@ __all__ = [
     "batch_paths",
 ]
 
-# batch_paths draws block b of this many replicate rows from substream b.
-BLOCK_ROWS = 64
+# Replicate rows whose normals batch_paths holds at once; it bounds memory, not the output.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,10 @@ class GridSpec:
     def __post_init__(self):
         lower = tuple(float(v) for v in self.lower)
         upper = tuple(float(v) for v in self.upper)
+        for s in self.steps:
+            if isinstance(s, bool) or not (isinstance(s, (int, np.integer))
+                                           or isinstance(s, (float, np.floating)) and float(s).is_integer()):
+                raise InvalidGridError(f"cell counts must be integers, got {s!r}")
         steps = tuple(int(s) for s in self.steps)
         if not (len(lower) == len(upper) == len(steps)) or not lower:
             raise InvalidGridError("lower, upper and steps must share a positive length")
@@ -145,11 +147,11 @@ class SheetField:
 def sheet_increments(spec: GridSpec, seed: RngSeed) -> SheetField:
     """Draw the grid's white-noise increments, one Normal(0, cell volume) per cell.
 
-    The normals come from substream 0 in C order. ``batch_paths`` samples
-    the integrals of such a field in law, one normal per region, so its
-    rows do not reuse these draws.
+    The normals come from ``seed.generator()`` in C order. ``batch_paths``
+    samples the integrals of such a field in law, one normal per region, so
+    its rows do not reuse these draws.
     """
-    z = seed.substream(0).standard_normal(spec.steps)
+    z = seed.generator().standard_normal(spec.steps)
     return SheetField(spec, z * math.sqrt(spec.cell_volume), seed)
 
 
@@ -177,7 +179,7 @@ def _check_point(spec: GridSpec, t: Corner | tuple) -> np.ndarray:
     if t.dim != spec.dim:
         raise OutOfRangeError(f"point has dimension {t.dim}, grid has {spec.dim}")
     tv = np.asarray(t.coords)
-    if np.any(tv > np.asarray(spec.upper) + 1e-12):
+    if np.any(tv > np.asarray(spec.upper) + GEOM_ATOL):
         raise OutOfRangeError(f"point {t.coords} lies outside the grid upper corner {spec.upper}")
     return tv
 
@@ -283,11 +285,9 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
     (``_region_weights``), not per cell, and has the drift and covariance
     of the midpoint sums over a ``sheet_increments`` field.
 
-    Rows [64 b, 64 b + 64) form block b (``BLOCK_ROWS``), drawn from
-    ``seed.substream(b)``, an SFC64 generator, as ``drift + einsum(z,
-    G.T)``. The output depends only on the arguments and this block
-    layout, and a run's first 64 k rows equal those of any longer run with
-    the same seed.
+    The rows are ``drift + einsum(z, G.T)`` for one ``(replicates,
+    regions)`` draw ``z`` from ``seed.generator()`` in C order, so a run's
+    first r rows equal those of any longer run with the same seed.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
@@ -295,10 +295,11 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
         raise ConfigError("a sheet needs at least one point")
     _, W, drift = _cell_weights(spec, alpha, sigma, points, y0, stationary)
     Gt = np.ascontiguousarray(_region_weights(W, spec.cell_volume).T)
+    gen = seed.generator()
     out = np.empty((replicates, Gt.shape[0]))
-    for block, start in enumerate(range(0, replicates, BLOCK_ROWS)):
-        rows = out[start : start + BLOCK_ROWS]
-        z = seed.substream(block).standard_normal((len(rows), Gt.shape[1]))
+    for start in range(0, replicates, _BLOCK_ROWS):
+        rows = out[start : start + _BLOCK_ROWS]
+        z = gen.standard_normal((len(rows), Gt.shape[1]))
         np.einsum("rk,pk->rp", z, Gt, out=rows)
         rows += drift
     return out

@@ -14,6 +14,7 @@ import pytest
 
 from siou.cli import main
 from siou.gaussian import RngSeed
+from siou import sheet
 from siou.sheet import GridSpec, batch_paths
 
 
@@ -355,6 +356,38 @@ def test_malformed_input_is_a_configuration_error(tmp_path, capsys, argv):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("command, make_config, extra, message", [
+    ("sample", sample_config, {"replicates": 3.9}, "replicates must be an integer, got 3.9"),
+    ("sheet", sheet_config, {"replicates": 40.5}, "replicates must be an integer, got 40.5"),
+    ("sheet", sheet_config, {"grid": {"lower": [-6.0], "upper": [1.0], "steps": [10.7]}},
+     "cell counts must be integers, got 10.7"),
+    ("sheet", sheet_config, {"grid": {"lower": [-6.0], "upper": [1.0], "steps": [True]}},
+     "cell counts must be integers, got True"),
+    ("sample", sample_config, {"seed": {"seed": 2.7, "stream": 1.5}}, "seed must be an integer, got 2.7"),
+    ("sample", sample_config, {"seed": {"seed": 2, "stream": 1.5}}, "stream must be an integer, got 1.5"),
+    ("sample", sample_config, {"seed": {"stream": 3}}, "missing config entry 'seed'"),
+    ("sheet", sheet_config, {"seed": True}, "seed must be an integer, got True"),
+    ("sample", sample_config, {"dimension": 2.5}, "dimension must be an integer, got 2.5"),
+], ids=["fractional_replicates", "fractional_sheet_replicates", "fractional_steps", "boolean_steps",
+        "fractional_seed", "fractional_stream", "stream_without_seed", "boolean_seed", "fractional_dimension"])
+def test_config_integers_are_not_truncated(tmp_path, capsys, command, make_config, extra, message):
+    code, _, err = run_cli([command, "--config", make_config(tmp_path, **extra), *_outputs(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"configuration error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_integral_float_config_values_give_the_integer_bytes(tmp_path, capsys):
+    outs = []
+    for tag, extra in (("int", {}), ("float", {"replicates": 50.0, "seed": {"seed": 11.0, "stream": 0.0}})):
+        csv_path, json_path = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        code, _, _ = run_cli(["sample", "--config", sample_config(tmp_path, **extra), "--csv", str(csv_path),
+                              "--json", str(json_path)], capsys)
+        assert code == 0
+        outs.append(csv_path.read_bytes() + json_path.read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("command, make_config", [("sample", sample_config), ("sheet", sheet_config)])
 def test_unallocatable_output_is_one_error_line(tmp_path, capsys, command, make_config):
     # 10^14 replicates ask for petabytes: numpy refuses before anything is drawn.
@@ -381,6 +414,31 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     assert here.read_bytes() == alone.read_bytes()
+
+
+def test_sheet_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    # Four 3-D points split the support into seven regions; three whole row
+    # blocks and a short one of 17 rows go through the einsum product.
+    cfg = write_config(tmp_path, "sh3.json", {
+        "grid": {"lower": [-2.0, -2.0, -2.0], "upper": [1.0, 1.0, 1.0], "steps": [9, 9, 9]},
+        "alpha": [1.0, 0.5, 2.0],
+        "sigma": 0.9,
+        "points": [[0.5, 1.0, 0.25], [1.0, 0.5, 0.5], [0.25, 0.25, 1.0], [1.0, 1.0, 1.0]],
+        "mode": "stationary",
+        "replicates": 3 * sheet._BLOCK_ROWS + 17,
+        "seed": {"seed": 41, "stream": 2},
+    })
+    code, _, _ = run_cli(["sheet", "--config", cfg, "--csv", str(tmp_path / "here.csv"),
+                          "--json", str(tmp_path / "here.json")], capsys)
+    assert code == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "siou", "sheet", "--config", cfg, "--csv", str(tmp_path / "alone.csv"),
+         "--json", str(tmp_path / "alone.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"here.{ext}").read_bytes() == (tmp_path / f"alone.{ext}").read_bytes()
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
@@ -473,8 +531,8 @@ GOLDEN_SHEET = {
             "replicates": 150,
             "seed": 31,
         },
-        "63e41319c32434ff306c376133ec36da69913a3422751fb5d3ff88ebb9dd8e88",
-        "edb276863634b977ab8280e9c5115d9d445e2ac729445489736694cf53a353f0",
+        "d9d7ab1ef07a2dd60560622e1c87a38795eab3cdbf3c098895bb9254f5d6f10e",
+        "55cdfc2dad26168cf90e5ed4a42fe9811acf646b10cb357cf2e139a47211e964",
     ),
     "stationary_1d": (
         {
@@ -486,8 +544,8 @@ GOLDEN_SHEET = {
             "replicates": 150,
             "seed": {"seed": 7, "stream": 3},
         },
-        "6dcb2abf248c823810ad349b593d19427761f89f1deef43f0d2708d87d0e9b74",
-        "a7d9974cee7e9e1657416ddb9bf2d78e960ed88221c9422ad4838e05e81e7d8c",
+        "b12d77068ceecf25d96431caf6dfc8b14aeb12c5d48a6dd06a0afc5616555690",
+        "84131408782c778a567190139b4e8736d8b46a2733c1e4e5623b54789b4a9239",
     ),
 }
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from siou.errors import ConfigError, InvalidGridError, OutOfRangeError
 from siou.gaussian import RngSeed
-from siou.geometry import Corner
+from siou.geometry import GEOM_ATOL, Corner
 from siou.kernel import cov_stationary
 from siou.measures import MeasureSpec
 from siou import sheet
@@ -44,6 +44,15 @@ def test_grid_validation():
         GridSpec((-1.0,), (1.0,), (0,))
     with pytest.raises(InvalidGridError):
         GridSpec((-math.inf,), (1.0,), (4,))
+
+
+def test_grid_cell_counts_must_be_integers():
+    for bad in (10.7, True, np.True_, "10", None):
+        with pytest.raises(InvalidGridError, match="cell counts must be integers"):
+            GridSpec((-1.0,), (1.0,), (bad,))
+    for good in (10, 10.0, np.int64(10), np.float32(10.0)):
+        spec = GridSpec((-1.0,), (1.0,), (good,))
+        assert spec == GridSpec((-1.0,), (1.0,), (10,)) and type(spec.steps[0]) is int
 
 
 def test_grid_geometry_properties():
@@ -80,6 +89,10 @@ def test_point_validation():
         integrate_stationary(f, (1.0, 1.0), 1.0, Corner((0.5,)))
     with pytest.raises(InvalidGridError):
         integrate_stationary(f, (-1.0,), 1.0, Corner((0.5,)))
+    # the upper corner allows the geometry's slack GEOM_ATOL, and no more
+    integrate_stationary(f, (1.0,), 1.0, Corner((1.0 + 0.5 * GEOM_ATOL,)))
+    with pytest.raises(OutOfRangeError):
+        integrate_stationary(f, (1.0,), 1.0, Corner((1.0 + 2.0 * GEOM_ATOL,)))
 
 
 def test_integrals_accept_bare_tuples():
@@ -189,26 +202,6 @@ def _field_realizing(spec, support, W, z, seed, junk=1e6):
     return SheetField(spec, flat.reshape(spec.steps), seed)
 
 
-def test_batch_paths_block_zero_is_drift_plus_region_product():
-    got = batch_paths(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 300, RngSeed(9), y0=0.2)
-    assert got.shape == (300, 3)
-    _, W, drift = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 0.2)
-    Gt = np.ascontiguousarray(sheet._region_weights(W, GRID_2D.cell_volume).T)
-    # block 0 is drift + einsum(z, G) over the first 64 rows of substream 0, bit for bit,
-    # and the short last block (rows 256-299) reads substream 4
-    for block, rows in ((0, sheet.BLOCK_ROWS), (4, 300 - 4 * sheet.BLOCK_ROWS)):
-        z = RngSeed(9).substream(block).standard_normal((rows, Gt.shape[1]))
-        first = block * sheet.BLOCK_ROWS
-        np.testing.assert_array_equal(got[first : first + rows], drift + np.einsum("rk,pk->rp", z, Gt))
-
-
-def test_batch_paths_prefix_does_not_depend_on_the_replicate_count():
-    short = batch_paths(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 300, RngSeed(9))
-    long = batch_paths(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 600, RngSeed(9))
-    # blocks 0-3 are whole in both runs
-    np.testing.assert_array_equal(short[:256], long[:256])
-
-
 def test_batch_paths_first_row_matches_pointwise_integrals():
     # Row 0 equals the pointwise integrals of a field that spreads each region's
     # normal over the region's cells; junk in every other cell changes nothing.
@@ -218,7 +211,7 @@ def test_batch_paths_first_row_matches_pointwise_integrals():
         rows = batch_paths(GRID_1D, alpha, sigma, pts, 1, RngSeed(10), y0=y0, stationary=stationary)
         support, W, _ = _cell_weights(GRID_1D, alpha, sigma, pts, y0, stationary)
         assert support.size < GRID_1D.ncells
-        z = RngSeed(10).substream(0).standard_normal((1, _regions(W).max() + 1))[0]
+        z = RngSeed(10).generator().standard_normal((1, _regions(W).max() + 1))[0]
         f = _field_realizing(GRID_1D, support, W, z, RngSeed(10))
         for j, t in enumerate(pts):
             if stationary:
@@ -237,7 +230,7 @@ def test_steep_alpha_dirac_paths_stay_finite():
     support, W, _ = _cell_weights(spec, alpha, 1.0, [pt], 0.5)
     G = sheet._region_weights(W, spec.cell_volume)
     assert G.shape == (1, 1) and G[0, 0] > 0.0
-    z = RngSeed(1).substream(0).standard_normal((3, 1))
+    z = RngSeed(1).generator().standard_normal((3, 1))
     for r in range(3):
         f = _field_realizing(spec, support, W, z[r], RngSeed(1))
         want = integrate_mpou(f, alpha, 1.0, 0.5, pt)
@@ -284,29 +277,20 @@ def test_whole_grid_support_has_the_covariance_of_the_grid_noise():
 
 
 class _CountingSeed:
-    """Stands in for RngSeed and counts the normals drawn from its substreams."""
+    """Stands in for RngSeed and counts the normals drawn from its generators."""
 
     def __init__(self, seed):
-        self.seed, self.counters, self.blocks = seed, [], []
+        self.seed, self.drawn = seed, 0
 
-    @property
-    def drawn(self):
-        return sum(c.drawn for c in self.counters)
-
-    def substream(self, index):
-        gen = self.seed.substream(index)
+    def generator(self):
+        gen, counter = self.seed.generator(), self
 
         class Counting:
-            drawn = 0
-
             def standard_normal(self, size):
-                self.drawn += int(np.prod(size))
+                counter.drawn += int(np.prod(size))
                 return gen.standard_normal(size)
 
-        counter = Counting()
-        self.blocks.append(index)
-        self.counters.append(counter)
-        return counter
+        return Counting()
 
 
 def test_dirac_points_at_the_origin_return_y0_and_draw_nothing():
@@ -326,7 +310,6 @@ def test_support_draws_count_one_normal_per_region():
     G = sheet._region_weights(W, GRID_2D.cell_volume)
     assert G.shape == (3, 2) and support.size > 3
     assert seed.drawn == 300 * G.shape[0]
-    assert sorted(seed.blocks) == list(range(5))
 
 
 @st.composite
@@ -365,7 +348,7 @@ def test_cell_weights_support_matches_a_brute_force_mask(case):
 class _ZeroSeed:
     """Stands in for RngSeed and draws only zeros, so batch_paths returns its drift."""
 
-    def substream(self, index):
+    def generator(self):
         class Zeros:
             def standard_normal(self, size):
                 return np.zeros(size)
@@ -385,6 +368,27 @@ def test_region_weights_have_the_law_of_the_cell_weights(case):
     assert _gram_gap(G, W, spec.cell_volume) <= 1e-12
     rows = batch_paths(spec, alpha, 0.7, points, 3, _ZeroSeed(), y0=0.2, stationary=stationary)
     np.testing.assert_array_equal(rows, np.broadcast_to(drift, rows.shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_points(), st.integers(1, 150), st.integers(1, 80), st.integers(0, 2**32))
+def test_batch_paths_rows_are_drift_plus_one_region_draw(case, replicates, extra, seed_value):
+    # Whatever the block size, the rows are drift + einsum(z, G.T), G.T held
+    # contiguous, for one (replicates, regions) draw z, so a shorter run is a
+    # prefix of a longer one.
+    spec, points, stationary = case
+    alpha, seed = (1.0, 0.5, 2.0)[: spec.dim], RngSeed(seed_value)
+    _, W, drift = _cell_weights(spec, alpha, 0.7, points, 0.2, stationary)
+    Gt = np.ascontiguousarray(sheet._region_weights(W, spec.cell_volume).T)
+    z = seed.generator().standard_normal((replicates + extra, Gt.shape[1]))
+    want = drift + np.einsum("rk,pk->rp", z, Gt)
+    for block_rows in (1, 7, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sheet, "_BLOCK_ROWS", block_rows)
+            got = batch_paths(spec, alpha, 0.7, points, replicates + extra, seed, y0=0.2, stationary=stationary)
+        np.testing.assert_array_equal(got, want)
+    short = batch_paths(spec, alpha, 0.7, points, replicates, seed, y0=0.2, stationary=stationary)
+    np.testing.assert_array_equal(short, want[:replicates])
 
 
 def test_region_weights_summed_linearly_fail_the_law():

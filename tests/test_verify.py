@@ -192,7 +192,7 @@ def test_errored_check_keeps_its_label_and_fails():
 
 
 # SHA-256 of the JSON of the four non-sheet mc reports of `siou verify --suite mc
-# --seed 42`. They draw from RngSeed.generator (Philox), not from substreams.
+# --seed 42`. They draw from RngSeed.generator (Philox) on streams the sheet checks do not use.
 GOLDEN_MC_NON_SHEET = "d7110acdc71b00fd31374bd7c7c4a9131f613b134355e3d59a1e5da29e571f6a"
 
 
