@@ -90,12 +90,21 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """A config real number: an int or a float, never a bool or a string, so true is an error, not 1.0."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _seed_from(value, override: int | None) -> RngSeed:
     if override is not None:
         return RngSeed(override)
     if value is None:
         raise ConfigError("a seed is required: set it in the config or pass --seed")
     if isinstance(value, dict):
+        if unknown := sorted(set(value) - {"seed", "stream"}):
+            raise ConfigError(f"unknown seed keys {unknown}; a seed object takes seed and stream")
         return RngSeed(_integer(value["seed"], "seed"), _integer(value.get("stream", 0), "stream"))
     return RngSeed(_integer(value, "seed"))
 
@@ -148,7 +157,7 @@ def _kernel_params_from(cfg: dict, args) -> tuple[KernelParams, int]:
             kcfg["lambda"] = args.lam
         if getattr(args, "sigma", None) is not None:
             kcfg["sigma"] = args.sigma
-        params = KernelParams(float(kcfg["lambda"]), float(kcfg["sigma"]), measure)
+        params = KernelParams(_real(kcfg["lambda"], "lambda"), _real(kcfg["sigma"], "sigma"), measure)
         measure.check_dim(dim)
     return params, dim
 
@@ -217,8 +226,8 @@ def _cmd_sheet(args) -> int:
     cfg = _load_json(args.config)
     with _config_phase():
         grid = GridSpec(tuple(cfg["grid"]["lower"]), tuple(cfg["grid"]["upper"]), tuple(cfg["grid"]["steps"]))
-        alpha = tuple(float(a) for a in cfg["alpha"])
-        sigma = _check_sigma(cfg["sigma"])
+        alpha = tuple(_real(a, "alpha") for a in cfg["alpha"])
+        sigma = _check_sigma(_real(cfg["sigma"], "sigma"))
         _check_alpha(alpha, grid.dim)
         points = [_corner(p, grid.dim) for p in cfg["points"]]
         if not points:
@@ -228,7 +237,7 @@ def _cmd_sheet(args) -> int:
         mode = cfg.get("mode", "stationary")
         if mode not in ("stationary", "dirac"):
             raise ConfigError(f"unknown sheet mode {mode!r}; pick stationary or dirac")
-        y0 = float(cfg.get("y0", 0.0))
+        y0 = _real(cfg.get("y0", 0.0), "y0")
         replicates = _integer(args.replicates if args.replicates is not None else cfg.get("replicates", 0),
                               "replicates")
         if replicates < 2:

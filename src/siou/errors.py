@@ -18,11 +18,7 @@ class ComplexityError(SiouError):
 
 
 class InternalConsistencyError(SiouError):
-    """Raised when a quantity that must hold exactly by construction fails to.
-
-    Covers inclusion-exclusion net coefficients outside {-1, 0, +1} and
-    measure differences that come out negative beyond numerical slack.
-    """
+    """Raised when a measure difference that must be non-negative comes out negative beyond numerical slack."""
 
 
 class KernelInconsistencyError(SiouError):

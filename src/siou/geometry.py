@@ -10,7 +10,7 @@ minima of corners, so everything here reduces to corner arithmetic:
 * an increment is a pair (a, b) standing for [0, a] minus the union b,
 * the frontier of an increment is the set of meets (componentwise minima)
   of the union's corners whose inclusion-exclusion coefficients survive
-  cancellation, together with those +-1 signs.
+  cancellation, together with those integer nets (+-1 up to two dimensions).
 
 Corner families are held as ``(k, N)`` float arrays inside the module;
 :class:`Corner` appears only at the API boundary. One fold serves the
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexityError, InternalConsistencyError, InvalidGeometryError
+from .errors import ComplexityError, InvalidGeometryError
 
 GEOM_ATOL = 1e-12
 
@@ -308,24 +308,20 @@ class Increment:
         if not self.b.corners:
             return Frontier(((Corner.origin(self.dim), 1),))
         rows, nets = _signed_meets(_as_rows(self.b.corners))
-        bad = np.flatnonzero(np.abs(nets) > 1)
-        if bad.size:
-            raise InternalConsistencyError(f"inclusion-exclusion net coefficient {nets[bad[0]]} at corner "
-                                           f"{tuple(rows[bad[0]].tolist())}; expected -1, 0 or +1")
         return Frontier(tuple(zip(_corners(rows), nets.tolist())))
 
 
 @dataclass(frozen=True)
 class Frontier:
-    """Signed corners that survive inclusion-exclusion over an increment's b-corners."""
+    """Corners that survive inclusion-exclusion over an increment's b-corners, each with its nonzero net (its sign)."""
 
     entries: tuple[tuple[Corner, int], ...]
 
     def __post_init__(self):
         seen = set()
         for corner, sign in self.entries:
-            if sign not in (-1, 1):
-                raise InvalidGeometryError(f"frontier signs must be +-1, got {sign}")
+            if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign == 0:
+                raise InvalidGeometryError(f"frontier nets must be nonzero integers, got {sign!r}")
             if corner.coords in seen:
                 raise InvalidGeometryError(f"duplicate frontier corner {corner.coords}")
             seen.add(corner.coords)
@@ -349,10 +345,10 @@ def frontier(inc: Increment) -> Frontier:
     """Signed frontier of an increment after inclusion-exclusion cancellation.
 
     Folds the b-corners into their signed meets and keeps, in lexicographic
-    order, the meets whose net coefficient is nonzero. A net coefficient
-    outside {-1, 0, +1} is a broken invariant and raises rather than
-    truncating. An empty b yields the origin with sign +1, the convention
-    for an unconditioned rectangle. The fold runs once per increment:
+    order, the meets whose integer net coefficient is nonzero; the nets sum
+    to 1. Three b-corners whose pairwise meets coincide leave that meet at
+    -2. An empty b yields the origin with net +1, the convention for an
+    unconditioned rectangle. The fold runs once per increment:
     later calls return the Frontier the first one built.
     """
     return inc._frontier

@@ -12,11 +12,15 @@ degenerate rectangle at the origin, the field instead has
     Cov(X_U, X_V) = sigma^2 / (2 lambda)
                     * (exp(-lambda m(U sym-diff V)) - exp(-lambda (m(U) + m(V)))).
 
-Conditionally on the values x_i at the frontier corners F_i (signs eps_i)
-of an increment [0, a] minus B, the value at a is Gaussian with
+Conditionally on the values x_i at the frontier corners F_i (integer nets
+n_i, which sum to 1) of an increment [0, a] minus B, the value at a is
+Gaussian with
 
-    mean = sum_i eps_i * exp(-lambda (m(a) - m(F_i))) * x_i,
-    var  = sigma^2 / (2 lambda) * (1 - sum_i eps_i * exp(-2 lambda (m(a) - m(F_i)))).
+    mean = sum_i n_i * exp(-lambda g_i) * x_i,
+    var  = -sigma^2 / (2 lambda) * sum_i n_i * expm1(-2 lambda g_i),
+
+with g_i = m(a) - m(F_i): since sum_i n_i = 1, that is the variance
+sigma^2 / (2 lambda) * (1 - sum_i n_i exp(-2 lambda g_i)) without its cancellation.
 
 Both are the case v0 = s = sigma^2 / (2 lambda), resp. v0 = 0, of the field
 started from an origin value of variance v0, whose covariance is
@@ -25,8 +29,9 @@ s exp(-lambda m(U sym-diff V)) + (v0 - s) exp(-lambda (m(U) + m(V))).
 
 The classical one-parameter OU kernel is the one-dimensional Lebesgue case
 with m(a) - m(F) the elapsed time. Exponents are always of the gap
-m(a) - m(F_i) >= 0, never of the raw measures, so nothing overflows for
-large rectangles.
+g_i >= 0 (:func:`~siou.measures.measure_gap`), never of the raw measures, so
+nothing overflows for large rectangles: a gap that overflows is inf and
+gives weight 0 and variance sigma^2 / (2 lambda).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateKernelError, InvalidGeometryError, KernelInconsistencyError
 from .geometry import Corner, Increment, frontier
-from .measures import MeasureSpec, measure_rect, measure_rows, measure_symdiffs
+from .measures import MeasureSpec, measure_gap, measure_rows, measure_symdiffs
 
 # A computed transition variance below this is a broken formula, not roundoff.
 VARIANCE_FLOOR = -1e-10
@@ -145,29 +150,21 @@ def cov_dirac(params: KernelParams, u: Corner, v: Corner) -> float:
 def transition_params(params: KernelParams, inc: Increment) -> TransitionParams:
     """Closed-form conditional law of X_a given the increment's frontier values.
 
-    The weight on frontier corner F_i with sign eps_i is
-    eps_i * exp(-lambda (m(a) - m(F_i))); the conditional variance is
-    sigma^2/(2 lambda) * (1 - sum_i eps_i exp(-2 lambda (m(a) - m(F_i)))).
-    A variance that is negative beyond roundoff raises; a tiny negative
+    The weight on frontier corner F_i with net n_i is n_i * exp(-lambda g_i),
+    and the conditional variance is -sigma^2/(2 lambda) * sum_i n_i
+    expm1(-2 lambda g_i), with g_i the measure gap from F_i to a. A
+    variance that is negative beyond roundoff raises; a tiny negative
     clamps to exactly 0, the degenerate (measure-zero increment) case. The
     frontier is the one the increment already holds, if a plan folded it.
-    An overflowing measure gap (inf - inf) raises InvalidGeometryError.
     """
-    m = params.measure
-    m.check_dim(inc.dim)
-    ma = measure_rect(m, inc.a)
-    fr = frontier(inc)
+    lam = params.lam
     weights = []
-    ssum = 0.0
-    for corner, sign in fr.entries:
-        gap = ma - measure_rect(m, corner)
-        if math.isnan(gap):
-            raise InvalidGeometryError(f"the measure gap from {corner.coords} to {inc.a.coords} came out nan: "
-                                       "a rectangle's measure overflows float64")
-        gap = max(gap, 0.0)
-        weights.append((corner, sign * math.exp(-params.lam * gap)))
-        ssum += sign * math.exp(-2.0 * params.lam * gap)
-    variance = params.stationary_variance * (1.0 - ssum)
+    unexplained = 0.0  # 1 - sum_i n_i exp(-2 lambda g_i), a +0.0 when every gap is 0
+    for corner, net in frontier(inc).entries:
+        gap = measure_gap(params.measure, inc.a, corner)
+        weights.append((corner, net * math.exp(-lam * gap)))
+        unexplained -= net * math.expm1(-2.0 * lam * gap)
+    variance = params.stationary_variance * unexplained
     if variance < VARIANCE_FLOOR * params.stationary_variance:
         raise KernelInconsistencyError(f"transition variance {variance} is negative beyond numerical slack")
     return TransitionParams(inc.a, tuple(weights), max(variance, 0.0))

@@ -14,6 +14,7 @@ covariance-matrix builder.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .geometry import Corner, Increment, UnionSet, _as_rows, _signed_meets
 # anything below this is a real inconsistency, anything above clamps to 0.
 NEGATIVE_RESIDUE_FLOOR = -1e-9
 
-__all__ = ["MeasureSpec", "measure_rect", "measure_rows", "measure_union", "measure_symdiff",
+__all__ = ["MeasureSpec", "measure_rect", "measure_rows", "measure_gap", "measure_union", "measure_symdiff",
            "measure_symdiffs", "measure_diff"]
 
 
@@ -99,6 +100,24 @@ def measure_rows(spec: MeasureSpec, rows) -> np.ndarray:
     if spec.kind == "lebesgue":
         return functools.reduce(np.multiply, [rows[..., i] for i in range(rows.shape[-1])])
     return functools.reduce(np.add, [a * rows[..., i] for i, a in enumerate(spec.alpha)])
+
+
+def measure_gap(spec: MeasureSpec, a: Corner, f: Corner) -> float:
+    """m([0, a]) - m([0, f]) for f <= a, as a sum of non-negative terms: never nan, possibly inf.
+
+    Lebesgue: sum_k (a_k - f_k) prod_{j<k} f_j prod_{j>k} a_j, each product
+    taken left to right after the difference, skipping terms with a zero
+    factor. Axis: sum_k alpha_k (a_k - f_k).
+    """
+    spec.check_dim(a.dim)
+    if spec.kind == "axis":
+        return sum(al * (x - y) for al, x, y in zip(spec.alpha, a.coords, f.coords))
+    total = 0.0
+    for k, (x, y) in enumerate(zip(a.coords, f.coords)):
+        factors = (*f.coords[:k], *a.coords[k + 1 :])
+        if x != y and 0.0 not in factors:
+            total += math.prod(factors, start=x - y)
+    return total
 
 
 def measure_union(spec: MeasureSpec, u: UnionSet) -> float:

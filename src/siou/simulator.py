@@ -245,22 +245,13 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
     seed): draws are consumed origin first, then one batch of
     ``replicates`` normals per step in plan order.
 
-    Each column is filled ``SAMPLE_BLOCK_ROWS`` replicates at a time: the
-    block's parent values are gathered into a reused buffer and multiplied
-    by the step's weights, and the block's normals are drawn into another
-    reused buffer, scaled and shifted in place. So the sampler holds its
-    C-ordered ``(replicates, corners)`` output plus one block per parent.
-
-    The values equal the one-shot ``values[:, parents] @ w + s * z`` under
-    one BLAS thread, and do not depend on the BLAS thread count. OpenBLAS
-    sums the last ``n mod 4`` rows of an n-row product in a tail loop with
-    its own order, and with several threads also the last rows of each
-    thread's share. So every block is multiplied as a full
-    ``SAMPLE_BLOCK_ROWS``-row product (rows past the block hold stale finite
-    values), which a power-of-two number of threads splits into whole
-    groups of rows, and the last ``replicates mod 16`` rows are taken from
-    a product of the last ``replicates mod 16 + 16`` rows, which sums them
-    as the one-shot product does.
+    Each column is filled ``SAMPLE_BLOCK_ROWS`` replicates at a time in a
+    reused buffer: the block's normals are drawn into it and scaled by the
+    conditional standard deviation, then each parent column times its
+    weight is added in frontier order, through a second reused buffer. So
+    the sampler holds its C-ordered ``(replicates, corners)`` output plus
+    two blocks, and its values are the same fixed-order sum over whole
+    columns, ``sqrt(var) * z + w_1 x_1 + w_2 x_2 + ...``, with no BLAS call.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
@@ -272,27 +263,17 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
     starts = range(0, n, SAMPLE_BLOCK_ROWS)
     for start in starts:
         values[start : start + SAMPLE_BLOCK_ROWS, 0] = initial.draw(gen, min(n - start, SAMPLE_BLOCK_ROWS))
-    gathered = np.zeros((max((len(step.parents) for step in pl.steps), default=0), SAMPLE_BLOCK_ROWS))
-    mean = np.empty(SAMPLE_BLOCK_ROWS)
-    noise = np.empty(min(n, SAMPLE_BLOCK_ROWS))
-    tail = n % 16
+    z_buf, term_buf = np.empty(min(n, SAMPLE_BLOCK_ROWS)), np.empty(min(n, SAMPLE_BLOCK_ROWS))
     for step, tp in zip(pl.steps, transitions):
-        parents = list(step.parents)
-        w = np.array([wt for _, wt in tp.weights])
-        block = gathered[: len(parents)].T  # Fortran-ordered, like values[:, parents]
         scale = math.sqrt(tp.variance)
         for start in starts:
-            rows = min(n - start, SAMPLE_BLOCK_ROWS)
-            for j, p in enumerate(parents):
-                gathered[j, :rows] = values[start : start + rows, p]
-            np.matmul(block, w, out=mean)
-            if start + rows == n and tail:
-                mean[rows - tail : rows] = (values[max(0, n - tail - 16) :, parents] @ w)[-tail:]
-            z = noise[:rows]
+            block = values[start : start + SAMPLE_BLOCK_ROWS]
+            z, term = z_buf[: len(block)], term_buf[: len(block)]
             gen.standard_normal(out=z)
             z *= scale
-            z += mean[:rows]
-            values[start : start + rows, step.index] = z
+            for (_, w), p in zip(tp.weights, step.parents):
+                z += np.multiply(block[:, p], w, out=term)
+            block[:, step.index] = z
     return SamplePath(pl.corners, values, params, initial, seed, transitions)
 
 

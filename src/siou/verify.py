@@ -23,6 +23,7 @@ covariance fixture must make every deterministic check fail, and
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
@@ -30,9 +31,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, InternalConsistencyError, SiouError
+from .errors import ConfigError, SiouError
 from .gaussian import GaussianSpec, RngSeed, conditional
-from .geometry import Corner, Increment, canonicalize, frontier
+from .geometry import Corner, Increment, canonicalize
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_density, transition_params
 from .measures import MeasureSpec, measure_diff, measure_rect, measure_symdiffs
 from .sheet import GridSpec, batch_paths, equivalent_kernel_params
@@ -185,28 +186,21 @@ def _random_measure(gen: np.random.Generator, dim: int) -> MeasureSpec:
 
 
 def _random_increment(gen: np.random.Generator, dim: int, max_b: int = 5, min_b: int = 0) -> Increment:
-    """Random increment on the quarter grid whose frontier admits the signed form.
+    """Random increment on the quarter grid.
 
-    In three or more dimensions the inclusion-exclusion expansion can leave
-    a corner with net coefficient beyond +/-1 (three sets whose pairwise
-    meets all coincide already do it); those increments have no signed
-    frontier representation and are rejected here, since the closed-form
-    transition checks are statements about the representable ones.
+    Half the time the b-corners come from one level of {1, 2, 3}^N (in
+    quarters), a coordinate sum from N + 1 to 2N: an antichain whose meets
+    tie often, so that 3-D and 4-D frontiers with nets of +-2 are common.
     """
-    for _ in range(200):
-        a = _quarter_corner(gen, dim, 4, 12)
-        k = int(gen.integers(min_b, max_b + 1))
-        bs = []
-        for _ in range(k):
-            coords = tuple(0.25 * gen.integers(1, round(c / 0.25) + 1) for c in a.coords)
-            bs.append(Corner(coords))
-        inc = Increment(a, canonicalize(bs))
-        try:
-            frontier(inc)
-        except InternalConsistencyError:
-            continue
-        return inc
-    raise InternalConsistencyError("could not draw a representable increment in 200 attempts")
+    a = _quarter_corner(gen, dim, 4, 12)
+    k = int(gen.integers(min_b, max_b + 1))
+    if gen.random() < 0.5:
+        total = int(gen.integers(dim + 1, 2 * dim + 1))
+        level = [c for c in itertools.product((1, 2, 3), repeat=dim) if sum(c) == total]
+        bs = [Corner(tuple(0.25 * q for q in level[i])) for i in gen.integers(0, len(level), size=k)]
+    else:
+        bs = [Corner(tuple(0.25 * gen.integers(1, round(c / 0.25) + 1) for c in a.coords)) for _ in range(k)]
+    return Increment(a, canonicalize(bs))
 
 
 def check_psd(params: KernelParams, trials: int, seed: RngSeed, cov_fn: CovFn = cov_matrix,

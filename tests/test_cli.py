@@ -58,11 +58,12 @@ def test_frontier_bad_corner_is_usage_error(capsys):
     assert "configuration error" in err
 
 
-def test_frontier_net_beyond_one_is_numerical_error(capsys):
-    code, _, err = run_cli(
-        ["frontier", "--a", "2,2,2", "--b", "2,1,1;1,2,1;1,1,2"], capsys)
-    assert code == 1
-    assert "error" in err
+def test_frontier_reports_a_net_of_minus_two(capsys):
+    # The three pairwise meets all equal the triple meet (1,1,1): 3 - 3 + 1 would leave it at -2.
+    code, out, _ = run_cli(["frontier", "--a", "2,2,2", "--b", "2,1,1;1,2,1;1,1,2"], capsys)
+    assert code == 0
+    entries = {(tuple(e["corner"]), e["sign"]) for e in json.loads(out)["results"]}
+    assert entries == {((1.0, 1.0, 1.0), -2), ((1.0, 1.0, 2.0), 1), ((1.0, 2.0, 1.0), 1), ((2.0, 1.0, 1.0), 1)}
 
 
 def test_kernel_cov_stationary(tmp_path, capsys):
@@ -302,7 +303,7 @@ def test_verify_stdout_is_json_when_no_path(capsys):
 
 # SHA-256 of the `siou verify --suite deterministic --seed 7 --json` report.
 # Any change in a check's draws, statistic, label or order changes it.
-GOLDEN_VERIFY_DETERMINISTIC = "e41adc6921ac4e8a93bc3c00500f2242a1c529ffc4edae77c68fe970ba1cb10b"
+GOLDEN_VERIFY_DETERMINISTIC = "592c959b738600876c4f9b2f495b484d3b8dfbaa54ccb6fbf3775b8ec90e4aad"
 
 
 def test_verify_report_matches_golden_digest(tmp_path, capsys):
@@ -374,6 +375,31 @@ def test_config_integers_are_not_truncated(tmp_path, capsys, command, make_confi
     code, _, err = run_cli([command, "--config", make_config(tmp_path, **extra), *_outputs(tmp_path)], capsys)
     assert code == 2
     assert err == f"configuration error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command, make_config, extra, message", [
+    ("sheet", sheet_config, {"alpha": [True]}, "alpha must be a number, got True"),
+    ("sheet", sheet_config, {"sigma": True}, "sigma must be a number, got True"),
+    ("sheet", sheet_config, {"mode": "dirac", "y0": False}, "y0 must be a number, got False"),
+    ("kernel", lambda tmp, **extra: write_config(tmp, "k.json", {
+        **KERNEL_BASE, "op": "cov_stationary", "u": [1.0, 1.0], "v": [1.0, 2.0], **extra}),
+     {"kernel": {"lambda": True, "sigma": 1.0}}, "lambda must be a number, got True"),
+    ("kernel", lambda tmp, **extra: write_config(tmp, "k.json", {
+        **KERNEL_BASE, "op": "cov_stationary", "u": [1.0, 1.0], "v": [1.0, 2.0], **extra}),
+     {"kernel": {"lambda": 1.0, "sigma": True}}, "sigma must be a number, got True"),
+    ("sheet", sheet_config, {"seed": {"seed": 3, "steam": 2}},
+     "unknown seed keys ['steam']; a seed object takes seed and stream"),
+    ("sample", sample_config, {"seed": {"seed": 3, "stream": 1, "sed": 4}},
+     "unknown seed keys ['sed']; a seed object takes seed and stream"),
+], ids=["boolean_alpha", "boolean_sigma", "boolean_y0", "boolean_lambda", "boolean_kernel_sigma", "misspelt_stream",
+        "extra_seed_key"])
+def test_config_reals_and_seed_keys_are_checked(tmp_path, capsys, command, make_config, extra, message):
+    argv = [command, "--config", make_config(tmp_path, **extra)]
+    code, out, err = run_cli(argv + ([] if command == "kernel" else _outputs(tmp_path)), capsys)
+    assert code == 2
+    assert err == f"configuration error: {message}\n"
+    assert out == ""
     assert not (tmp_path / "x.json").exists()
 
 
@@ -475,8 +501,8 @@ GOLDEN_SAMPLE = {
             "replicates": 300,
             "seed": 11,
         },
-        "689ed5188e08d16e52480edc9848db470fdd42062b09447c38a1d79f957767aa",
-        "601ea33dbb39e4546aaeccd0de5c4d3caf39c4c7ff503a9501ac82afc5bcb654",
+        "cb02c62f43f44e6893f436d389b833e8a6231821c931dd8aef56bf9533326593",
+        "5541cc80b0a7ade8a2fc5de706e058a638ab586f3c4b26fb3284aaec7c722541",
     ),
     "axis_3d_normal": (
         {
@@ -488,8 +514,8 @@ GOLDEN_SAMPLE = {
             "replicates": 300,
             "seed": {"seed": 5, "stream": 2},
         },
-        "60eade9b8454e1744a94892da4dbbb4aafd238dac35f729737a9ff3cd0bf456e",
-        "7c502eba1ded884beefa9ee2667591356f2bad53d801366c40b6bad4aee51aa4",
+        "15bbb9a42c1e75baa3b4d06e32dbce6ba818f9a298a9bcb0dc9f0a2a33197e06",
+        "e1309c1cc5c972bbfb9a7bebe82ca057e4211fef6e87371864f7b33a730f0e31",
     ),
     # The 12 x 12 quarter grid: a 145-corner plan whose frontiers all come from the fold.
     "lebesgue_2d_quarter_grid": (
@@ -500,8 +526,8 @@ GOLDEN_SAMPLE = {
             "replicates": 50,
             "seed": 23,
         },
-        "cd697eb1f64c6b668d91e27888d17f29d9317eec8128c4d59f32700c3406a2b6",
-        "6e2e87af561c47e2042afd482d0ff90cd1e8ba645a3cf236f35322ea27b7b62e",
+        "7b8469c2bfd0c843459f225f07dfd54a3aa9941e9a4cba54e711776a150789a2",
+        "b65ce791541dab04cbda37ffbff137f67a4f35246b3f3fa53d8128b68b110961",
     ),
 }
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siou import geometry
-from siou.errors import ComplexityError, InternalConsistencyError, InvalidGeometryError
+from siou.errors import ComplexityError, InvalidGeometryError
 from siou.geometry import (
     Corner,
     Frontier,
@@ -131,13 +131,14 @@ def test_frontier_three_dim_seven_entries():
     assert frontier_set(fr) == expected
 
 
-def test_frontier_net_beyond_one_aborts():
+def test_frontier_keeps_a_net_of_minus_two():
     # Three corners whose pairwise meets all equal the triple meet leave
-    # (1,1,1) with net coefficient -2, which the signed form cannot carry.
+    # (1,1,1) with net coefficient 0 - 3 + 1 = -2; the nets still sum to 1.
     inc = Increment(Corner((2.0, 2.0, 2.0)),
                     canonicalize(corners((2, 1, 1), (1, 2, 1), (1, 1, 2))))
-    with pytest.raises(InternalConsistencyError):
-        frontier(inc)
+    fr = frontier(inc)
+    assert frontier_set(fr) == {((1.0, 1.0, 1.0), -2), ((1.0, 1.0, 2.0), 1), ((1.0, 2.0, 1.0), 1), ((2.0, 1.0, 1.0), 1)}
+    assert sum(fr.signs) == 1
 
 
 def _subset_meets(rows):
@@ -177,22 +178,16 @@ def test_frontier_matches_brute_force_expansion(case):
     nets = {}
     for meet, sign in _subset_meets(rows):
         nets[meet] = nets.get(meet, 0) + sign
-    if any(abs(n) > 1 for n in nets.values()):
-        with pytest.raises(InternalConsistencyError):
-            frontier(inc)
-    else:
-        got = [(c.coords, s) for c, s in frontier(inc).entries]
-        assert got == sorted((u, n) for u, n in nets.items() if n != 0)
+    got = [(c.coords, s) for c, s in frontier(inc).entries]
+    assert got == sorted((u, n) for u, n in nets.items() if n != 0)
     for spec in (MeasureSpec.lebesgue(), MeasureSpec.axis(tuple(0.5 + i for i in range(a.dim)))):
         want = sum(n * float(np.prod(u) if spec.kind == "lebesgue" else np.dot(spec.alpha, u)) for u, n in nets.items())
         assert measure_union(spec, inc.b) == pytest.approx(want, rel=1e-12)
     closure = {(0.0,) * a.dim} | {meet for meet, _ in _subset_meets([b.coords for b in bs])}
     assert [c.coords for c in min_closure(bs)] == sorted(closure, key=lambda c: (sum(c), c))
-    if a.dim <= 2:
-        # Plans order the closure by either tiebreak; above two dimensions a
-        # plan may meet a net of +-2 and refuse.
-        for tiebreak, key in (("lex", lambda c: (sum(c), c)), ("revlex", lambda c: (sum(c), c[::-1]))):
-            assert [c.coords for c in plan(bs, tiebreak=tiebreak).corners] == sorted(closure, key=key)
+    # Plans order the closure by either tiebreak, nets of +-2 included.
+    for tiebreak, key in (("lex", lambda c: (sum(c), c)), ("revlex", lambda c: (sum(c), c[::-1]))):
+        assert [c.coords for c in plan(bs, tiebreak=tiebreak).corners] == sorted(closure, key=key)
 
 
 @pytest.mark.parametrize("scale", [4.0, 0.25])
@@ -200,8 +195,7 @@ def test_frontier_scales_with_the_coordinates(scale):
     # Powers of two scale floats exactly, so the scaled frontier must be the
     # frontier's corners times the scale, each with its sign unchanged.
     rng = np.random.default_rng(4025)
-    checked = 0
-    while checked < 60:
+    for _ in range(60):
         dim = int(rng.integers(1, 5))
         a = Corner(tuple(0.25 * rng.integers(4, 13, size=dim)))
         bs = [Corner(tuple(0.25 * rng.integers(1, round(c / 0.25) + 1) for c in a.coords))
@@ -209,15 +203,8 @@ def test_frontier_scales_with_the_coordinates(scale):
         inc = Increment(a, canonicalize(bs))
         scaled = Increment(Corner(tuple(scale * x for x in a.coords)),
                            canonicalize([Corner(tuple(scale * x for x in b.coords)) for b in inc.b.corners]))
-        try:
-            fr = frontier(inc)
-        except InternalConsistencyError:
-            with pytest.raises(InternalConsistencyError):
-                frontier(scaled)
-            continue
-        want = {(tuple(scale * x for x in c.coords), s) for c, s in fr.entries}
+        want = {(tuple(scale * x for x in c.coords), s) for c, s in frontier(inc).entries}
         assert frontier_set(frontier(scaled)) == want
-        checked += 1
 
 
 def test_frontier_support_avoids_covered_corners():
@@ -230,11 +217,7 @@ def test_frontier_support_avoids_covered_corners():
         bs = [Corner(tuple(0.25 * rng.integers(1, round(c / 0.25) + 1) for c in a.coords))
               for _ in range(k)]
         inc = Increment(a, canonicalize(bs))
-        try:
-            fr = frontier(inc)
-        except InternalConsistencyError:
-            continue
-        for c, _ in fr.entries:
+        for c, _ in frontier(inc).entries:
             covered = any(all(ci < bi - 1e-12 for ci, bi in zip(c.coords, b.coords))
                           for b in inc.b.corners)
             assert not covered, (inc.a.coords, c.coords)
@@ -264,10 +247,7 @@ def test_frontier_sign_sum_matches_indicator():
         bs = [Corner(tuple(0.25 * rng.integers(1, round(c / 0.25) + 1) for c in a.coords))
               for _ in range(k)]
         inc = Increment(a, canonicalize(bs))
-        try:
-            fr = frontier(inc)
-        except InternalConsistencyError:
-            continue
+        fr = frontier(inc)
         for _ in range(20):
             u = tuple(rng.uniform(0.0, c) for c in a.coords)
             inside_b = any(all(ui <= bi for ui, bi in zip(u, b.coords)) for b in inc.b.corners)
@@ -346,8 +326,10 @@ def test_expansion_guard_raises_before_allocating(monkeypatch):
             call()
         assert sizes and max(sizes) <= 6
 def test_frontier_rejects_bad_sign_values():
-    with pytest.raises(InvalidGeometryError):
-        Frontier(((Corner((1.0,)), 2),))
+    for bad in (0, True, 1.0, 0.5):
+        with pytest.raises(InvalidGeometryError, match="nonzero integers"):
+            Frontier(((Corner((1.0,)), bad),))
+    assert Frontier(((Corner((1.0,)), 2), (Corner((0.5,)), np.int64(-1)))).signs == (2, -1)
 
 
 def test_close_corners_merge():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siou.errors import DegenerateKernelError, InternalConsistencyError, InvalidGeometryError
+from siou.errors import DegenerateKernelError, InvalidGeometryError
 from siou.geometry import Corner, Increment, canonicalize
 from siou.kernel import (
     KernelParams,
@@ -19,7 +19,7 @@ from siou.kernel import (
     transition_density,
     transition_params,
 )
-from siou.measures import MeasureSpec, measure_rect, measure_rows, measure_symdiff, measure_symdiffs
+from siou.measures import MeasureSpec, measure_gap, measure_rect, measure_rows, measure_symdiff, measure_symdiffs
 
 
 LEB = MeasureSpec.lebesgue()
@@ -31,17 +31,10 @@ def union_of(*tuples):
 
 
 def random_increment(rng, dim):
-    while True:
-        a = Corner(tuple(0.25 * rng.integers(4, 13, size=dim)))
-        k = int(rng.integers(0, 6))
-        bs = [Corner(tuple(0.25 * rng.integers(1, round(c / 0.25) + 1) for c in a.coords))
-              for _ in range(k)]
-        inc = Increment(a, canonicalize(bs))
-        try:
-            transition_params(P, inc)
-        except InternalConsistencyError:
-            continue
-        return inc
+    a = Corner(tuple(0.25 * rng.integers(4, 13, size=dim)))
+    k = int(rng.integers(0, 6))
+    bs = [Corner(tuple(0.25 * rng.integers(1, round(c / 0.25) + 1) for c in a.coords)) for _ in range(k)]
+    return Increment(a, canonicalize(bs))
 
 
 def test_params_validation():
@@ -120,17 +113,8 @@ def test_transition_matches_gaussian_conditioning():
         sigma = float(rng.uniform(0.6, 1.8))
         measure = LEB if rng.integers(2) else MeasureSpec.axis(tuple(rng.uniform(0.4, 2.0, size=dim)))
         params = KernelParams(lam, sigma, measure)
-        while True:
-            a = Corner(tuple(0.25 * rng.integers(4, 13, size=dim)))
-            k = int(rng.integers(0, 6))
-            bs = [Corner(tuple(0.25 * rng.integers(1, round(c / 0.25) + 1) for c in a.coords))
-                  for _ in range(k)]
-            inc = Increment(a, canonicalize(bs))
-            try:
-                tp = transition_params(params, inc)
-            except InternalConsistencyError:
-                continue
-            break
+        inc = random_increment(rng, dim)
+        tp = transition_params(params, inc)
         corners = [inc.a] + [c for c, _ in tp.weights]
         n = len(corners)
         gram = np.empty((n, n))
@@ -193,6 +177,45 @@ def test_exponent_gaps_never_overflow():
     assert all(math.isfinite(w) for _, w in tp.weights)
     assert math.isfinite(tp.variance)
     assert tp.variance > 0
+
+
+def test_small_gap_variance_keeps_its_relative_precision():
+    # 1 - exp(-2 lambda g) loses about 1e-7 of its value to cancellation at g = 1e-9; expm1 keeps it.
+    lam, sigma = 0.8, 1.3
+    params = KernelParams(lam, sigma, LEB)
+    gap = (1.0 + 1e-9) - 1.0
+    tp = transition_params(params, Increment(Corner((1.0 + 1e-9,)), union_of((1.0,))))
+    want = -params.stationary_variance * math.expm1(-2.0 * lam * gap)
+    assert abs(tp.variance - want) <= 1e-15 * want
+    assert tp.weights[0][1] == math.exp(-lam * gap)
+
+
+def test_small_gap_is_the_telescoped_difference():
+    # m(a) - m(f) by subtraction of the two products is off by about 7e-8 of the gap here.
+    a, f = Corner((0.3, 0.7 + 1e-9)), Corner((0.3, 0.7))
+    gap = 0.3 * ((0.7 + 1e-9) - 0.7)
+    assert measure_gap(LEB, a, f) == gap
+    tp = transition_params(P, Increment(a, canonicalize([f])))
+    want = -P.stationary_variance * math.expm1(-2.0 * P.lam * gap)
+    assert abs(tp.variance - want) <= 1e-15 * want
+    assert tp.weights[0][1] == math.exp(-P.lam * gap)
+
+
+def test_nets_of_two_transition_like_conditioning():
+    # The four-corner family's top step conditions on (0.25, 0.25, 0.25) with net -2.
+    inc = Increment(Corner((0.5, 0.5, 0.5)),
+                    union_of((0.25, 0.25, 0.5), (0.25, 0.5, 0.25), (0.5, 0.25, 0.25)))
+    for measure in (LEB, MeasureSpec.axis((1.0, 0.5, 2.0))):
+        params = KernelParams(0.8, 1.3, measure)
+        tp = transition_params(params, inc)
+        (low, w_low), *_ = tp.weights
+        assert low.coords == (0.25, 0.25, 0.25)
+        assert w_low == -2.0 * math.exp(-0.8 * measure_gap(measure, inc.a, low))
+        corners = [inc.a] + [c for c, _ in tp.weights]
+        gram = cov_matrix(params, corners)
+        kvec = np.linalg.solve(gram[1:, 1:], gram[1:, 0])
+        np.testing.assert_allclose([w for _, w in tp.weights], kvec, rtol=0, atol=1e-13)
+        assert tp.variance == pytest.approx(gram[0, 0] - gram[0, 1:] @ kvec, rel=0, abs=1e-13)
 
 
 def test_symdiff_drives_stationary_covariance():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siou.errors import InternalConsistencyError, InvalidGeometryError
 from siou.geometry import Corner, canonicalize
@@ -11,6 +13,7 @@ from siou.measures import (
     MeasureSpec,
     _clamp_residue,
     measure_diff,
+    measure_gap,
     measure_rect,
     measure_symdiff,
     measure_union,
@@ -125,6 +128,32 @@ def test_overflowing_measure_is_a_geometry_error():
     huge = Corner((1e200, 1e200))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidGeometryError, match="overflows float64"):
         measure_symdiff(LEB, huge, huge)
+
+
+@st.composite
+def nested_quarter_corners(draw):
+    """(a, f) with f <= a on the quarter grid, dimensions 1-4, axis corners included."""
+    dim = draw(st.integers(1, 4))
+    a = draw(st.lists(st.integers(0, 12), min_size=dim, max_size=dim))
+    f = [draw(st.integers(0, q)) for q in a]
+    return Corner(tuple(0.25 * q for q in a)), Corner(tuple(0.25 * q for q in f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_quarter_corners())
+def test_measure_gap_is_the_measure_difference(case):
+    # Quarter-grid measures are exact in binary, so the telescoped sum equals the subtraction bit for bit.
+    a, f = case
+    for spec in (LEB, MeasureSpec.axis(tuple(0.5 + 0.25 * i for i in range(a.dim)))):
+        assert measure_gap(spec, a, f) == measure_rect(spec, a) - measure_rect(spec, f)
+
+
+def test_measure_gap_overflows_to_inf_not_nan():
+    # m(a) and m(f) both overflow; the gap's only nonzero term, 9e199 * 1e200, does too.
+    assert measure_gap(LEB, Corner((1e200, 1e200)), Corner((1e200, 1e199))) == math.inf
+    # A zero factor drops its term even after an earlier product overflowed.
+    assert measure_gap(LEB, Corner((1e200, 1.0, 1e200)), Corner((1e200, 0.0, 0.0))) == math.inf
+    assert measure_gap(LEB, Corner((1e200, 1e-300, 1.0)), Corner((1e200, 0.0, 1.0))) == 1e200 * 1e-300
 
 
 def test_alpha_validation():

@@ -1,23 +1,25 @@
 """Sequential Markov sampler, exact joint sampler, and the step planner."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siou import simulator
-from siou.errors import ConfigError, InternalConsistencyError, InvalidGeometryError, PlanningError
+from siou.errors import ConfigError, PlanningError
 from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
 from siou.geometry import GEOM_ATOL, Corner, Frontier, Increment, canonicalize, frontier, min_closure
 from siou.kernel import KernelParams, cov_dirac, cov_matrix, cov_stationary, mean_dirac, transition_params
 from siou.measures import MeasureSpec
 from siou.simulator import InitialLaw, plan, simulate, simulate_exact
-from siou.verify import schur_gap
+from siou.verify import check_mc_agreement, schur_gap, sign_flipped_covariance, theory_dirac
 
 
 LEB = MeasureSpec.lebesgue()
@@ -97,13 +99,7 @@ def near_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(near_families(), st.sampled_from(["lex", "revlex"]))
 def test_plan_steps_match_canonicalized_meets(corners, tiebreak):
-    try:
-        want = _reference_plan_json(corners, tiebreak)
-    except InternalConsistencyError:
-        # A net of +-2 in dimensions 3-4: the plan refuses it the same way.
-        with pytest.raises(InternalConsistencyError):
-            plan(corners, tiebreak=tiebreak)
-        return
+    want = _reference_plan_json(corners, tiebreak)
     assert json.dumps(plan(corners, tiebreak=tiebreak).to_json()) == json.dumps(want)
 
 
@@ -157,12 +153,91 @@ def test_sixty_corner_antichain_plan_ends_in_the_closed_form_frontier():
         "5775491f61ebc32aeb55066842ed59b8db202a3a8085262e03460b06acc4cb01")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_overflowing_measure_gap_is_a_geometry_error():
-    # Both rectangles' measures overflow to inf, so the top step's gap is inf - inf = nan.
+def test_overflowing_measure_gap_gives_a_zero_weight():
+    # Both rectangles' measures overflow, and so does the telescoped gap between them: inf, never inf - inf.
     pl = plan([(1e200, 1e200), (1e200, 1e199)])
-    with pytest.raises(InvalidGeometryError, match="overflows float64"):
-        simulate(pl, P, InitialLaw.dirac(0.0), 4, RngSeed(1))
+    path = simulate(pl, P, InitialLaw.dirac(0.0), 4, RngSeed(1))
+    assert np.isfinite(path.values).all()
+    top = path.transitions[-1]
+    assert [w for _, w in top.weights] == [0.0]
+    assert top.variance == P.stationary_variance
+
+
+# Pairwise meets of its first three corners all equal (0.25, 0.25, 0.25), which the top step takes with net -2.
+FOUR_CORNERS = [Corner(c) for c in ((0.25, 0.25, 0.5), (0.25, 0.5, 0.25), (0.5, 0.25, 0.25), (0.5, 0.5, 0.5))]
+
+
+def _plan_factor_gap(pl, params, v0, cov_fn=cov_matrix):
+    """max |B Sigma B^T - D| / s for the plan's transitions, with Sigma from ``cov_fn``.
+
+    B is unit lower triangular with B[i, parents_i] = -w_i, and D holds the
+    origin variance (v0, or s for the stationary field) and the transition
+    variances. The sequential sampler is B X = D^(1/2) eps, so it draws the
+    law Sigma exactly when B Sigma B^T = D.
+    """
+    s = params.stationary_variance
+    n = len(pl.corners)
+    b, d = np.eye(n), np.zeros(n)
+    d[0] = s if v0 is None else v0
+    for step in pl.steps:
+        tp = transition_params(params, step.increment)
+        b[step.index, list(step.parents)] -= [w for _, w in tp.weights]
+        d[step.index] = tp.variance
+    sigma = cov_fn(params, pl.corners) if v0 is None else cov_fn(params, pl.corners, v0=v0)
+    return float(np.max(np.abs(b @ sigma @ b.T - np.diag(d)))) / s
+
+
+@st.composite
+def factor_cases(draw):
+    """A quarter-grid family in dimensions 1-4 and a kernel.
+
+    Half the families are corners from one level of {1, 2, 3}^N plus the
+    corner (4, ..., 4) above them all, whose step meets nets of +-2 when
+    the level's meets tie.
+    """
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        total = draw(st.integers(dim + 1, 2 * dim))
+        level = [c for c in itertools.product((1, 2, 3), repeat=dim) if sum(c) == total]
+        k = min(draw(st.integers(1, 5)), len(level))
+        quarters = draw(st.lists(st.sampled_from(level), min_size=k, max_size=k, unique=True)) + [(4,) * dim]
+    else:
+        quarters = draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=7 if dim <= 2 else 5))
+    corners = [Corner(tuple(0.25 * q for q in c)) for c in quarters]
+    measure = draw(st.sampled_from([LEB, MeasureSpec.axis(tuple(0.5 + 0.25 * i for i in range(dim)))]))
+    params = KernelParams(draw(st.floats(0.3, 2.0)), draw(st.floats(0.5, 2.0)), measure)
+    return corners, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_cases(), st.sampled_from(["lex", "revlex"]), st.sampled_from([None, 0.0, 0.3]))
+@example((FOUR_CORNERS, P), "lex", None)
+@example((FOUR_CORNERS, KernelParams(0.8, 1.3, MeasureSpec.axis((1.0, 0.5, 2.0)))), "revlex", 0.3)
+def test_plan_transitions_factor_the_closed_form_covariance(case, tiebreak, v0):
+    corners, params = case
+    assert _plan_factor_gap(plan(corners, tiebreak=tiebreak), params, v0) <= 1e-12
+
+
+def test_plan_factor_gap_sees_a_wrong_covariance_and_wrong_parents():
+    pl = plan(FOUR_CORNERS)
+    top = pl.steps[-1]
+    assert top.frontier.signs == (-2, 1, 1, 1)
+    assert _plan_factor_gap(pl, P, None) <= 1e-12
+    assert _plan_factor_gap(pl, P, None, cov_fn=sign_flipped_covariance) > 1e-3
+    swapped = dataclasses.replace(top, parents=top.parents[::-1])
+    assert _plan_factor_gap(simulator.Plan(pl.corners, pl.steps[:-1] + (swapped,)), P, None) > 1e-3
+
+
+def test_simulate_agrees_with_the_exact_sampler_across_a_net_of_minus_two():
+    family = [Corner(c) for c in ((0.25, 0.25, 0.75), (0.25, 1.75, 0.25), (1.5, 1.25, 1.25), (1.25, 0.25, 0.25))]
+    pl = plan(family)
+    assert -2 in pl.steps[-1].frontier.signs
+    params = KernelParams(0.8, 1.3, LEB)
+    n = 40_000
+    a = simulate(pl, params, InitialLaw.dirac(0.7), n, RngSeed(71))
+    b = simulate_exact(pl, params, InitialLaw.dirac(0.7), n, RngSeed(72))
+    report = check_mc_agreement(a, b, theory_dirac(params, pl.corners, 0.7))
+    assert report.passed, report.details
 
 
 def test_plan_snaps_coordinates_that_chain_within_tolerance():
@@ -178,14 +253,16 @@ def test_plan_snaps_coordinates_that_chain_within_tolerance():
 
 
 def _one_shot(pl, params, initial, replicates, seed):
-    """The sampler without blocks: each column drawn as one ``mean + sqrt(var) * standard_normal(R)``."""
+    """The sampler without blocks: each column is ``sqrt(var) * standard_normal(R) + w_1 x_1 + w_2 x_2 + ...``."""
     gen = seed.generator()
     values = np.empty((replicates, len(pl.corners)))
     values[:, 0] = initial.draw(gen, replicates)
     for step in pl.steps:
         tp = transition_params(params, step.increment)
-        mean = values[:, list(step.parents)] @ np.array([wt for _, wt in tp.weights])
-        values[:, step.index] = mean + math.sqrt(tp.variance) * gen.standard_normal(replicates)
+        col = math.sqrt(tp.variance) * gen.standard_normal(replicates)
+        for (_, w), p in zip(tp.weights, step.parents):
+            col += w * values[:, p]
+        values[:, step.index] = col
     return values
 
 
@@ -197,7 +274,6 @@ STARTS = [InitialLaw.dirac(0.7), InitialLaw.normal(0.3, 0.4), InitialLaw.empiric
 @pytest.mark.parametrize("replicates", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_ROWS + 1,
                                         SAMPLE_BLOCK_ROWS + 3, 20_000])
 def test_simulate_matches_the_one_shot_sampler(family, initial, replicates):
-    # A plain per-block product moves one value of the top column at 4,099 normal replicates.
     pl = plan(family)
     path = simulate(pl, P, initial, replicates, RngSeed(17))
     assert path.values.flags.c_contiguous

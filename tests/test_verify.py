@@ -8,10 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from siou import verify
 from siou.errors import ConfigError
 from siou.gaussian import GaussianSpec, RngSeed
-from siou.geometry import Corner
-from siou.kernel import KernelParams
+from siou.geometry import Corner, frontier
+from siou.kernel import KernelParams, transition_params
 from siou.measures import MeasureSpec
 from siou.simulator import InitialLaw, plan, simulate
 from siou.verify import (
@@ -191,9 +192,27 @@ def test_errored_check_keeps_its_label_and_fails():
     assert [r.name for r in reports] == [r.name for r in run_suite("deterministic", RngSeed(5))]
 
 
+@pytest.mark.parametrize("check, trials", [(check_kernel_schur, 1600), (check_markov_orthogonality, 1200)],
+                         ids=["kernel_schur", "markov_orthogonality"])
+def test_transition_checks_pass_on_nets_beyond_one(monkeypatch, check, trials):
+    # The increments a check conditions on are the ones it passes transition_params.
+    seen = []
+
+    def recording(params, inc):
+        seen.append(inc)
+        return transition_params(params, inc)
+
+    monkeypatch.setattr(verify, "transition_params", recording)
+    for dim, measure in ((3, LEB), (4, MeasureSpec.axis((1.0, 0.5, 2.0, 1.5)))):
+        report = check(KernelParams(0.8, 1.3, measure), dim, trials, RngSeed(dim))
+        assert report.passed, report
+    beyond_one = sum(any(abs(n) > 1 for n in frontier(inc).signs) for inc in seen)
+    assert beyond_one >= 200
+
+
 # SHA-256 of the JSON of the four non-sheet mc reports of `siou verify --suite mc
 # --seed 42`. They draw from RngSeed.generator (Philox) on streams the sheet checks do not use.
-GOLDEN_MC_NON_SHEET = "d7110acdc71b00fd31374bd7c7c4a9131f613b134355e3d59a1e5da29e571f6a"
+GOLDEN_MC_NON_SHEET = "fc6143636055c26d29b67c5f95b8546eec5b1252671e0724838d00d8de982549"
 
 
 def _mc_non_sheet_checks():
