@@ -67,7 +67,7 @@ def _parse_union(text: str) -> list[list[float]]:
 
 
 def _corner(coords, dim: int | None = None) -> Corner:
-    c = Corner(tuple(coords))
+    c = Corner(_reals(coords, "corner"))
     if dim is not None and c.dim != dim:
         raise ConfigError(f"corner {c.coords} has dimension {c.dim}, expected {dim}")
     return c
@@ -95,6 +95,21 @@ def _real(value, name: str) -> float:
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         return float(value)
     raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _reals(values, name: str) -> tuple[float, ...]:
+    """A config list of reals, each checked by :func:`_real`, so a string is an error, not its characters."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_real(v, name) for v in values)
+
+
+def _initial_from(data) -> InitialLaw:
+    """The initial law of a config, with its parameters checked as reals."""
+    if isinstance(data, dict):
+        data = {key: _real(v, key) if key in ("x0", "mu", "var") else _reals(v, key) if key == "values" else v
+                for key, v in data.items()}
+    return InitialLaw.from_json(data)
 
 
 def _seed_from(value, override: int | None) -> RngSeed:
@@ -152,6 +167,7 @@ def _kernel_params_from(cfg: dict, args) -> tuple[KernelParams, int]:
     with _config_phase():
         dim = _integer(cfg["dimension"], "dimension")
         measure = MeasureSpec.from_json(cfg["measure"])
+        _reals(cfg["measure"].get("alpha", []), "alpha")  # MeasureSpec reads ["1"] as (1.0,)
         kcfg = dict(cfg["kernel"])
         if getattr(args, "lam", None) is not None:
             kcfg["lambda"] = args.lam
@@ -175,7 +191,7 @@ def _cmd_kernel(args) -> int:
     elif op == "mean_dirac":
         with _config_phase():
             u = _corner(cfg["u"], dim)
-            x0 = float(cfg["x0"])
+            x0 = _real(cfg["x0"], "x0")
         results = [{"op": op, "u": u.to_json(), "x0": x0, "value": mean_dirac(params, x0, u)}]
     elif op == "transition":
         with _config_phase():
@@ -197,7 +213,7 @@ def _cmd_sample(args) -> int:
         corners = [_corner(c, dim) for c in cfg.get("corners", [])]
         if not corners:
             raise ConfigError("sample config needs a nonempty corners list")
-        initial = InitialLaw.from_json(cfg.get("initial", {"kind": "normal", "mu": 0.0, "var": params.stationary_variance}))
+        initial = _initial_from(cfg.get("initial", {"kind": "normal", "mu": 0.0, "var": params.stationary_variance}))
         replicates = _integer(args.replicates if args.replicates is not None else cfg.get("replicates", 0),
                               "replicates")
         if replicates < 1:
@@ -225,8 +241,9 @@ def _cmd_sample(args) -> int:
 def _cmd_sheet(args) -> int:
     cfg = _load_json(args.config)
     with _config_phase():
-        grid = GridSpec(tuple(cfg["grid"]["lower"]), tuple(cfg["grid"]["upper"]), tuple(cfg["grid"]["steps"]))
-        alpha = tuple(_real(a, "alpha") for a in cfg["alpha"])
+        grid = GridSpec(_reals(cfg["grid"]["lower"], "grid lower"), _reals(cfg["grid"]["upper"], "grid upper"),
+                        tuple(cfg["grid"]["steps"]))
+        alpha = _reals(cfg["alpha"], "alpha")
         sigma = _check_sigma(_real(cfg["sigma"], "sigma"))
         _check_alpha(alpha, grid.dim)
         points = [_corner(p, grid.dim) for p in cfg["points"]]

@@ -215,16 +215,22 @@ def conditional(spec: GaussianSpec, observed_indices, observed_values) -> Gaussi
     free = [i for i in range(spec.dim) if i not in set(obs)]
     if not free:
         return GaussianSpec(vals, np.zeros((len(obs), len(obs))))
-    s_oo = spec.cov[np.ix_(obs, obs)]
-    s_fo = spec.cov[np.ix_(free, obs)]
-    s_ff = spec.cov[np.ix_(free, free)]
+    k_t, cov = _regression(spec.cov, obs, free)
+    return GaussianSpec(spec.mean[free] + k_t.T @ (vals - spec.mean[obs]), cov)
+
+
+def _regression(cov: np.ndarray, obs: list[int], free: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Regression of the free coordinates on the observed ones.
+
+    Returns K^T = Sigma_oo^+ Sigma_of and the residual covariance Sigma_ff - K Sigma_of, symmetrized.
+    """
+    s_oo = cov[np.ix_(obs, obs)]
+    s_fo = cov[np.ix_(free, obs)]
     L, _ = factorize(s_oo)
     if np.all(np.diag(L) > 0.0):
         # K = Sigma_fo Sigma_oo^{-1} via two triangular solves on the factor.
         k_t = np.linalg.solve(L.T, np.linalg.solve(L, s_fo.T))
     else:
         k_t = np.linalg.pinv(s_oo, hermitian=True) @ s_fo.T
-    mean = spec.mean[free] + k_t.T @ (vals - spec.mean[obs])
-    cov = s_ff - k_t.T @ s_fo.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianSpec(mean, cov)
+    res = cov[np.ix_(free, free)] - k_t.T @ s_fo.T
+    return k_t, 0.5 * (res + res.T)

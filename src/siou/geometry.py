@@ -30,10 +30,10 @@ canonical itself become a UnionSet through :func:`_union`, without a second
 validation, and an Increment whose b already lies inside [0, a] keeps it as
 given. An Increment folds its frontier once and keeps it.
 
-Corners closer than ``GEOM_ATOL`` in every coordinate are treated as one
-point. Exact cancellation in the frontier relies on equal inputs
-collapsing, which componentwise ``min`` guarantees bitwise; the tolerance
-only mops up near-duplicates in user input.
+One rule decides near values, :func:`_snap`, and :func:`canonicalize`,
+:func:`min_closure` and the planner apply it once to their input. Meets
+take their coordinates from the inputs bit for bit, so everything after
+the snap (grouping, dominance, the peel) compares exactly.
 """
 
 from __future__ import annotations
@@ -122,33 +122,31 @@ def _corners(rows: np.ndarray) -> tuple[Corner, ...]:
     return tuple(Corner(tuple(r)) for r in rows.tolist())
 
 
-def _has_near_values(rows: np.ndarray) -> bool:
-    """Whether some column holds two distinct values within GEOM_ATOL of each other."""
-    gap = np.diff(np.sort(rows, axis=0), axis=0)
-    return bool(((gap > 0) & (gap <= GEOM_ATOL)).any())
+def _snap(rows: np.ndarray) -> np.ndarray:
+    """Rows with each column's near values merged: the one tolerance rule of the module.
 
-
-def _snap_near_values(rows: np.ndarray) -> np.ndarray:
-    """Rows with each coordinate moved to its column's representative.
-
-    A column's values, 0 included, are merged by :func:`_group`'s rule:
-    ascending, each value within GEOM_ATOL of a kept one joins it. The kept
-    values are then more than GEOM_ATOL apart, so the result holds no near
-    values and the closure of its rows needs no tolerance merge.
+    A column's values, 0 included, are taken in ascending order, and a value
+    within GEOM_ATOL of the last kept value takes it, so no coordinate moves
+    up or by more than GEOM_ATOL. Kept values are more than GEOM_ATOL apart,
+    so no column of the result holds two distinct values within GEOM_ATOL.
     """
-    out = np.empty_like(rows)
-    for j, col in enumerate(rows.T):
-        reps = _group(np.unique(np.append(col, 0.0))[:, None])[0][:, 0]
-        out[:, j] = reps[np.searchsorted(reps, col, side="right") - 1]
+    values = np.sort(np.vstack([np.zeros((1, rows.shape[1])), rows]), axis=0)
+    gap = np.diff(values, axis=0)
+    near = ((gap > 0) & (gap <= GEOM_ATOL)).any(axis=0)
+    if not near.any():
+        return rows
+    out = rows.copy()
+    for j in np.flatnonzero(near):
+        kept = [0.0]
+        for v in np.unique(values[:, j]).tolist():
+            if v - kept[-1] > GEOM_ATOL:
+                kept.append(v)
+        out[:, j] = np.array(kept)[np.searchsorted(kept, rows[:, j], side="right") - 1]
     return out
 
 
-def _group(rows: np.ndarray, nets: np.ndarray | None = None, near: bool = True):
-    """Sort rows lexicographically and drop each row within GEOM_ATOL of a kept one, summing nets into it.
-
-    ``near=False`` skips the tolerance merge, for rows whose columns hold no
-    two distinct values within GEOM_ATOL: only equal rows can merge then.
-    """
+def _group(rows: np.ndarray, nets: np.ndarray | None = None):
+    """Sort rows lexicographically and merge equal rows, summing their nets."""
     if len(rows) == 0:
         return rows, nets
     order = np.lexsort(rows.T[::-1])
@@ -156,22 +154,9 @@ def _group(rows: np.ndarray, nets: np.ndarray | None = None, near: bool = True):
     first = np.ones(len(rows), dtype=bool)
     first[1:] = functools.reduce(np.logical_or, [c[1:] != c[:-1] for c in rows.T])
     starts = np.flatnonzero(first)
-    rows = rows[starts]
     if nets is not None:
         nets = np.add.reduceat(nets[order], starts)
-    if not (near and _has_near_values(rows)):
-        return rows, nets
-    keep = np.ones(len(rows), dtype=bool)
-    kept: list[int] = []
-    for i in range(len(rows)):
-        hit = np.flatnonzero(np.all(np.abs(rows[kept] - rows[i]) <= GEOM_ATOL, axis=1))
-        if hit.size:
-            keep[i] = False
-            if nets is not None:
-                nets[kept[hit[0]]] += nets[i]
-        else:
-            kept.append(i)
-    return rows[keep], None if nets is None else nets[keep]
+    return rows[starts], nets
 
 
 def _fold(corners: np.ndarray, rows: np.ndarray, nets: np.ndarray | None = None):
@@ -181,11 +166,10 @@ def _fold(corners: np.ndarray, rows: np.ndarray, nets: np.ndarray | None = None)
     with +1 and each meet with minus the net of its row; rows whose net
     cancels to 0 are dropped, since all their later meets cancel too.
     Without, it is the closure of ``rows`` and the corners under minima.
-    Each step checks MAX_EXPANSION_ROWS before it allocates.
+    Meets take their coordinates from the inputs, so equal meets are equal
+    bit for bit and grouping merges exactly. Each step checks
+    MAX_EXPANSION_ROWS before it allocates.
     """
-    # Meets take their coordinates from the inputs, so the tolerance merge is
-    # needed only if some input column holds near-equal values.
-    near = _has_near_values(np.concatenate([rows, corners]))
     for i, c in enumerate(corners):
         size = 2 * len(rows) + 1
         if size > MAX_EXPANSION_ROWS:
@@ -193,7 +177,7 @@ def _fold(corners: np.ndarray, rows: np.ndarray, nets: np.ndarray | None = None)
         rows = np.concatenate([rows, c[None, :], np.minimum(rows, c)])
         if nets is not None:
             nets = np.concatenate([nets, [1], -nets])
-        rows, nets = _group(rows, nets, near)
+        rows, nets = _group(rows, nets)
         if nets is not None:
             rows, nets = rows[nets != 0], nets[nets != 0]
     return rows, nets
@@ -205,8 +189,8 @@ def _signed_meets(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dominated(rows: np.ndarray) -> np.ndarray:
-    """Whether each row lies componentwise below another, up to GEOM_ATOL."""
-    below = np.all(rows[:, None, :] <= rows[None, :, :] + GEOM_ATOL, axis=2)
+    """Whether each of the distinct rows lies componentwise below another."""
+    below = np.all(rows[:, None, :] <= rows[None, :, :], axis=2)
     np.fill_diagonal(below, False)
     return below.any(axis=1)
 
@@ -215,20 +199,18 @@ def _maxima(rows: np.ndarray) -> np.ndarray:
     """``rows[~_dominated(rows)]`` for grouped rows, at O(len(rows)) per maximum.
 
     Peels by descending coordinate sum (Kung, Luccio & Preparata 1975): the
-    row of largest sum still in play drops every row it dominates, itself
-    included, and is kept unless some row dominates it. Under the GEOM_ATOL
-    slack a row can be dominated by one of smaller sum, even by one already
-    dropped, so that check runs over all rows. Grouped rows hold no two rows
-    within GEOM_ATOL of each other, so no two rows dominate each other.
+    row of largest sum still in play is a maximum, and it drops every row it
+    dominates, itself included. A row above another has at least its sum,
+    rounding included, and comes later in the lexicographic order, so of
+    rows with tied sums the last one is taken.
     """
-    cols = np.ascontiguousarray(rows.T)  # column-wise compares are several times faster
+    cols = np.ascontiguousarray(rows[::-1].T)  # reversed for the ties; column-wise compares are several times faster
     sums = cols.sum(axis=0)
     keep = np.zeros(len(rows), dtype=bool)
     while sums[j := int(np.argmax(sums))] > -np.inf:
-        top = cols[:, j, None]
-        sums[np.all(cols <= top + GEOM_ATOL, axis=0)] = -np.inf
-        keep[j] = np.count_nonzero(np.all(top <= cols + GEOM_ATOL, axis=0)) == 1
-    return rows[keep]
+        sums[np.all(cols <= cols[:, j, None], axis=0)] = -np.inf
+        keep[j] = True
+    return rows[keep[::-1]]
 
 
 @dataclass(frozen=True)
@@ -236,19 +218,18 @@ class UnionSet:
     """Finite union of rectangles, stored as the sorted antichain of maximal corners.
 
     Construct through :func:`canonicalize`; the constructor only validates
-    that the representation is already canonical. Rows the module has made
-    canonical itself go through :func:`_union`, which skips that check.
+    that the representation is already canonical, free of near values
+    included. Rows the module has made canonical itself go through
+    :func:`_union`, which skips that check.
     """
 
     corners: tuple[Corner, ...]
 
     def __post_init__(self):
         corners = tuple(self.corners)
-        rows = _as_rows(corners)
-        if not all(u.coords < v.coords for u, v in zip(corners, corners[1:])):
-            raise InvalidGeometryError("union corners must be strictly sorted; use canonicalize()")
-        if _dominated(rows).any():
-            raise InvalidGeometryError("union corners must form an antichain; use canonicalize()")
+        if canonicalize(corners).corners != corners:
+            raise InvalidGeometryError("union corners must be a sorted antichain without near values; "
+                                       "use canonicalize()")
         object.__setattr__(self, "corners", corners)
 
     @property
@@ -274,11 +255,11 @@ def _union(rows: np.ndarray) -> UnionSet:
 def canonicalize(corners) -> UnionSet:
     """Extremal representation of a union of rectangles.
 
-    Merges near-duplicate corners, removes every corner dominated by
-    another, and sorts the survivors lexicographically. The empty input
-    yields the empty union.
+    Snaps near values (:func:`_snap`), merges equal corners, removes every
+    corner dominated by another, and sorts the survivors lexicographically.
+    The empty input yields the empty union.
     """
-    rows, _ = _group(_as_rows(corners))
+    rows, _ = _group(_snap(_as_rows(corners)))
     return _union(rows[~_dominated(rows)])
 
 
@@ -364,7 +345,7 @@ def min_closure(corners) -> list[Corner]:
     rows = _as_rows(corners)
     if len(rows) == 0:
         raise InvalidGeometryError("min_closure needs at least one corner")
-    rows, _ = _fold(rows, np.zeros((1, rows.shape[1])))
+    rows, _ = _fold(_snap(rows), np.zeros((1, rows.shape[1])))
     # Sums added left to right, as Python's sum() of the coordinates would.
     sums = functools.reduce(np.add, rows.T)
     return list(_corners(rows[np.lexsort([*rows.T[::-1], sums])]))

@@ -15,9 +15,10 @@ corners are a_i's lower covers, and there are few of them: usually at most
 two per step of a 2-D family. An earlier corner is a meet of input corners
 (generators), one of them g not >= a_i, so the covers are the maxima of
 a_i's meets with such g and the origin: k + 1 meets for k generators, peeled
-by descending coordinate sum (Kung, Luccio & Preparata 1975). Near values
-are snapped before the closure, so the covers and the parent lookup compare
-exactly. Each step's frontier is folded once; :func:`simulate` reuses it.
+by descending coordinate sum (Kung, Luccio & Preparata 1975). The
+generators are snapped once, by the geometry's one near-value rule, so the
+closure, the covers and the parent lookup all compare exactly. Each step's
+frontier is folded once; :func:`simulate` reuses it.
 
 ``simulate_exact`` bypasses the sequential kernel entirely: it assembles
 the joint mean and covariance in closed form and samples in one shot. It
@@ -36,8 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, PlanningError
 from .gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, sample
-from .geometry import (Corner, Frontier, Increment, _as_rows, _group, _has_near_values, _maxima,
-                       _snap_near_values, _union, frontier, min_closure)
+from .geometry import Corner, Frontier, Increment, _as_rows, _group, _maxima, _snap, _union, frontier, min_closure
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
 __all__ = ["InitialLaw", "PlanStep", "Plan", "SamplePath", "plan", "simulate", "simulate_exact"]
@@ -184,12 +184,7 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     reversed coordinate tuple ("revlex"). Both orders sample the same law;
     having two lets the order-independence of the sampler be tested.
     """
-    gens = _as_rows(corners)
-    if _has_near_values(np.vstack([gens, np.zeros(gens.shape[1])])):
-        # Near values (the origin's zeros included) can chain past GEOM_ATOL
-        # through the closure's merges, and leave a meet near a merged-away
-        # corner but far from its keeper. Snapped, the closure holds none.
-        gens = _snap_near_values(gens)
+    gens = _snap(_as_rows(corners))
     closed = min_closure(gens)
     if tiebreak == "lex":
         pass
@@ -205,7 +200,7 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     for i in range(1, len(closed)):
         # b is canonicalize(min(rows[:i], a_i)), from the meets with the generators not >= a_i.
         meets = np.vstack([rows[:1], np.minimum(gens[~np.all(gens >= rows[i], axis=1)], rows[i])])
-        inc = Increment(closed[i], _union(_maxima(_group(meets, near=False)[0])))
+        inc = Increment(closed[i], _union(_maxima(_group(meets)[0])))
         fr = frontier(inc)
         # Frontier corners are meets of generators, so closure corners bit for bit.
         parents = tuple(position.get(c.coords, i) for c in fr.corners)

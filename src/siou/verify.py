@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, SiouError
-from .gaussian import GaussianSpec, RngSeed, conditional
+from .gaussian import GaussianSpec, RngSeed, _regression
 from .geometry import Corner, Increment, canonicalize
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_density, transition_params
 from .measures import MeasureSpec, measure_diff, measure_rect, measure_symdiffs
@@ -260,14 +260,12 @@ def schur_gap(tp: TransitionParams, gram: np.ndarray) -> float:
 
     ``gram`` is the covariance of X_a followed by X at tp's weighted corners, in order.
     """
-    k = len(tp.weights)
-    obs = list(range(1, k + 1))
-    spec = GaussianSpec(np.zeros(k + 1), gram)
-    base = conditional(spec, obs, np.zeros(k))
-    worst = abs(float(base.cov[0, 0]) - tp.variance)
-    for j in range(k):
-        probe = conditional(spec, obs, np.eye(k)[j]).mean[0] - base.mean[0]
-        worst = max(worst, abs(float(probe) - tp.weights[j][1]))
+    # One regression of X_a on the frontier block gives the variance and every weight.
+    spec = GaussianSpec(np.zeros(len(tp.weights) + 1), gram)
+    k_t, res = _regression(spec.cov, list(range(1, spec.dim)), [0])
+    worst = abs(float(res[0, 0]) - tp.variance)
+    for (_, w), k in zip(tp.weights, k_t[:, 0].tolist()):
+        worst = max(worst, abs(k - w))
     return worst
 
 

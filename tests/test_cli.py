@@ -144,7 +144,7 @@ def test_sample_csv_and_sidecar(tmp_path, capsys):
     assert rows[0] == ["0.0,0.0", "1.0,1.0", "1.0,2.0", "2.0,1.0", "2.0,2.0"]
     assert len(rows) == 51
     assert all(float(rows[r][0]) == 0.7 for r in range(1, 51))
-    sidecar = json.loads(open(json_path).read())
+    sidecar = json.loads(Path(json_path).read_text())
     steps = sidecar["results"][0]["plan"]["steps"]
     assert len(steps) == 4
     assert sidecar["config"]["seed"] == {"seed": 11, "stream": 0}
@@ -158,10 +158,10 @@ def test_sample_seed_and_replicates_overrides(tmp_path, capsys):
              "--seed", "99", "--replicates", "7"], capsys)
     run_cli(["sample", "--config", cfg, "--csv", b_csv, "--json", b_json,
              "--seed", "99", "--replicates", "7"], capsys)
-    assert open(a_csv).read() == open(b_csv).read()
+    assert Path(a_csv).read_text() == Path(b_csv).read_text()
     with open(a_csv, newline="") as fh:
         assert len(list(csv.reader(fh))) == 8
-    assert json.loads(open(a_json).read())["config"]["seed"]["seed"] == 99
+    assert json.loads(Path(a_json).read_text())["config"]["seed"]["seed"] == 99
 
 
 def test_sample_requires_corners(tmp_path, capsys):
@@ -203,7 +203,7 @@ def test_sheet_outputs_and_moments(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["replicate", "t", "value"]
     assert len(rows) == 1 + 4000 * 2
-    report = json.loads(open(json_path).read())["results"][0]
+    report = json.loads(Path(json_path).read_text())["results"][0]
     # matched kernel for alpha=(1,): sv = sigma^2/2; empirical within MC error
     assert abs(report["theory_cov"][0][0] - 0.5) < 1e-12
     assert abs(report["empirical_cov"][0][0] - 0.5) < 0.1
@@ -285,7 +285,7 @@ def test_verify_deterministic_passes(tmp_path, capsys):
                               "--json", json_path], capsys)
     assert code == 0
     assert "OK" in err
-    report = json.loads(open(json_path).read())
+    report = json.loads(Path(json_path).read_text())
     assert report["passed"] is True
     assert report["config"] == {"suite": "deterministic", "seed": {"seed": 42, "stream": 0}}
     assert all(r["passed"] for r in report["results"])
@@ -378,6 +378,10 @@ def test_config_integers_are_not_truncated(tmp_path, capsys, command, make_confi
     assert not (tmp_path / "x.json").exists()
 
 
+def mean_dirac_config(tmp_path, **extra):
+    return write_config(tmp_path, "k.json", {**KERNEL_BASE, "op": "mean_dirac", "u": [1.0, 1.0], "x0": 0.5, **extra})
+
+
 @pytest.mark.parametrize("command, make_config, extra, message", [
     ("sheet", sheet_config, {"alpha": [True]}, "alpha must be a number, got True"),
     ("sheet", sheet_config, {"sigma": True}, "sigma must be a number, got True"),
@@ -392,8 +396,21 @@ def test_config_integers_are_not_truncated(tmp_path, capsys, command, make_confi
      "unknown seed keys ['steam']; a seed object takes seed and stream"),
     ("sample", sample_config, {"seed": {"seed": 3, "stream": 1, "sed": 4}},
      "unknown seed keys ['sed']; a seed object takes seed and stream"),
+    ("sample", sample_config, {"corners": [["1.5", True]]}, "corner must be a number, got '1.5'"),
+    ("sample", sample_config, {"initial": {"kind": "normal", "mu": "0", "var": False}}, "mu must be a number, got '0'"),
+    ("sample", sample_config, {"initial": {"kind": "normal", "mu": 0, "var": False}},
+     "var must be a number, got False"),
+    ("sample", sample_config, {"initial": {"kind": "empirical", "values": "123"}},
+     "values must be a list of numbers, got '123'"),
+    ("kernel", mean_dirac_config, {"u": [True], "x0": "2"}, "corner must be a number, got True"),
+    ("kernel", mean_dirac_config, {"x0": "2"}, "x0 must be a number, got '2'"),
+    ("kernel", mean_dirac_config, {"measure": {"kind": "axis", "alpha": [1.0, "2"]}},
+     "alpha must be a number, got '2'"),
+    ("sheet", sheet_config, {"grid": {"lower": ["-6"], "upper": [1.0], "steps": [140]}},
+     "grid lower must be a number, got '-6'"),
 ], ids=["boolean_alpha", "boolean_sigma", "boolean_y0", "boolean_lambda", "boolean_kernel_sigma", "misspelt_stream",
-        "extra_seed_key"])
+        "extra_seed_key", "string_corner", "string_mu", "boolean_var", "string_values", "boolean_u", "string_x0",
+        "string_axis_alpha", "string_grid_bound"])
 def test_config_reals_and_seed_keys_are_checked(tmp_path, capsys, command, make_config, extra, message):
     argv = [command, "--config", make_config(tmp_path, **extra)]
     code, out, err = run_cli(argv + ([] if command == "kernel" else _outputs(tmp_path)), capsys)
@@ -425,8 +442,9 @@ def test_unallocatable_output_is_one_error_line(tmp_path, capsys, command, make_
 
 
 def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
-    # The top corner of a 12-corner antichain has 23 parents; 4,096 + 811
-    # replicates give a full block, a partial one and 11 tail rows.
+    # The top corner of a 12-corner antichain sums 23 weighted parent columns;
+    # 4,096 + 811 replicates give a full block and a partial one. The sampler
+    # makes no BLAS call, so the bytes must not move with the thread count.
     m = 12
     corners = [[0.25 * i, 0.25 * (m + 1 - i)] for i in range(1, m + 1)] + [[0.25 * (m + 1)] * 2]
     cfg = sample_config(tmp_path, corners=corners, replicates=4096 + 811)
@@ -475,7 +493,7 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         json_path = str(tmp_path / f"{tag}.json")
         code, _, _ = run_cli(["sample", "--config", cfg, "--csv", csv_path, "--json", json_path], capsys)
         assert code == 0
-        outs.append(open(csv_path, "rb").read() + open(json_path, "rb").read())
+        outs.append(Path(csv_path).read_bytes() + Path(json_path).read_bytes())
     assert outs[0] == outs[1]
 
 

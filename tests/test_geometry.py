@@ -75,6 +75,22 @@ def test_union_set_requires_canonical_form():
         UnionSet(tuple(corners((2, 2), (1, 1))))  # dominated corner present
 
 
+def test_union_set_rejects_near_values():
+    # Canonical but for near values: distinct coordinates 1e-13 apart, and one 5e-13 above 0.
+    for near in (corners((1, 2), (1 + 1e-13, 1.5)), corners((5e-13, 1))):
+        with pytest.raises(InvalidGeometryError, match="use canonicalize"):
+            UnionSet(tuple(near))
+        assert UnionSet(canonicalize(near).corners) == canonicalize(near)
+    assert canonicalize(corners((5e-13, 1))).to_json() == [[0.0, 1.0]]
+
+
+def test_maxima_breaks_ties_of_rounded_sums():
+    # 2e4 + 1.1e-12 rounds to 2e4, so the upper row ties with the one it dominates.
+    rows = np.array([[2e4, 0.0], [2e4, 1.1e-12]])
+    assert rows[0].sum() == rows[1].sum()
+    assert geometry._maxima(rows).tolist() == rows[~geometry._dominated(rows)].tolist() == [[2e4, 1.1e-12]]
+
+
 def test_mixed_dimensions_rejected():
     with pytest.raises(InvalidGeometryError):
         canonicalize([Corner((1.0,)), Corner((1.0, 2.0))])
@@ -339,16 +355,16 @@ def test_close_corners_merge():
 
 
 def test_near_duplicates_merge_into_any_kept_corner():
-    # Sorted, (1 + 2e-13, 2) sits next to (1 + 1e-13, 1), not to (1, 2); it
-    # must still merge into (1, 2), which then dominates (1 + 1e-13, 1).
+    # Sorted, (1 + 2e-13, 2) sits next to (1 + 1e-13, 1), not to (1, 2); the
+    # column snap still sends it to (1, 2), which then dominates (1, 1).
     u = canonicalize([Corner((1.0, 2.0)), Corner((1.0 + 1e-13, 1.0)), Corner((1.0 + 2e-13, 2.0))])
     assert u.to_json() == [[1.0, 2.0]]
 
 
 def test_frontier_merges_near_duplicate_meets():
-    # Two b-corners share the first coordinate only up to 1e-13, so the fold
-    # builds meets such as (0.25, 1.5, 1.25) and (0.25 + 1e-13, 1.5, 1.25)
-    # that must merge and cancel as one corner.
+    # Two b-corners share the first coordinate only up to 1e-13. Unsnapped,
+    # the fold would build meets such as (0.25, 1.5, 1.25) and
+    # (0.25 + 1e-13, 1.5, 1.25) that must cancel as one corner.
     exact = corners((1, 1, 1.5), (0.25, 1.5, 1.75), (0.25, 2, 1.25))
     near = exact[:2] + [Corner((0.25 + 1e-13, 2.0, 1.25))]
     a = Corner((3.0, 3.0, 3.0))

@@ -103,6 +103,16 @@ def test_plan_steps_match_canonicalized_meets(corners, tiebreak):
     assert json.dumps(plan(corners, tiebreak=tiebreak).to_json()) == json.dumps(want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(near_families())
+def test_geometry_entry_points_snap_near_values(corners):
+    snapped = _snapped(corners)
+    assert canonicalize(corners) == canonicalize(snapped)
+    assert min_closure(corners) == min_closure(snapped)
+    top = Corner((2.0,) * corners[0].dim)
+    assert frontier(Increment(top, canonicalize(corners))) == frontier(Increment(top, canonicalize(snapped)))
+
+
 def _plan_digest(corners, tiebreak):
     return hashlib.sha256(json.dumps(plan(corners, tiebreak=tiebreak).to_json()).encode()).hexdigest()
 
