@@ -104,12 +104,27 @@ def _reals(values, name: str) -> tuple[float, ...]:
     return tuple(_real(v, name) for v in values)
 
 
+def _known(obj, keys, where: str) -> None:
+    """Reject a config object with a key outside ``keys``, so a misspelt key is an error, not a silent default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a {where} must be a JSON object, got {obj!r}")
+    if unknown := sorted(set(obj) - set(keys)):
+        names = f"{', '.join(keys[:-1])} and {keys[-1]}" if len(keys) > 1 else keys[0]
+        raise ConfigError(f"unknown {where} keys {unknown}; a {where} object takes {names}")
+
+
+_KERNEL_OP_KEYS = {"cov_stationary": ("u", "v"), "cov_dirac": ("u", "v"), "mean_dirac": ("u", "x0"),
+                   "transition": ("a", "b")}
+
+
 def _initial_from(data) -> InitialLaw:
     """The initial law of a config, with its parameters checked as reals."""
     if isinstance(data, dict):
         data = {key: _real(v, key) if key in ("x0", "mu", "var") else _reals(v, key) if key == "values" else v
                 for key, v in data.items()}
-    return InitialLaw.from_json(data)
+    law = InitialLaw.from_json(data)
+    _known(data, tuple(law.to_json()), f"{law.kind} initial law")
+    return law
 
 
 def _seed_from(value, override: int | None) -> RngSeed:
@@ -118,8 +133,7 @@ def _seed_from(value, override: int | None) -> RngSeed:
     if value is None:
         raise ConfigError("a seed is required: set it in the config or pass --seed")
     if isinstance(value, dict):
-        if unknown := sorted(set(value) - {"seed", "stream"}):
-            raise ConfigError(f"unknown seed keys {unknown}; a seed object takes seed and stream")
+        _known(value, ("seed", "stream"), "seed")
         return RngSeed(_integer(value["seed"], "seed"), _integer(value.get("stream", 0), "stream"))
     return RngSeed(_integer(value, "seed"))
 
@@ -167,13 +181,12 @@ def _kernel_params_from(cfg: dict, args) -> tuple[KernelParams, int]:
     with _config_phase():
         dim = _integer(cfg["dimension"], "dimension")
         measure = MeasureSpec.from_json(cfg["measure"])
+        _known(cfg["measure"], tuple(measure.to_json()), f"{measure.kind} measure")
         _reals(cfg["measure"].get("alpha", []), "alpha")  # MeasureSpec reads ["1"] as (1.0,)
-        kcfg = dict(cfg["kernel"])
-        if getattr(args, "lam", None) is not None:
-            kcfg["lambda"] = args.lam
-        if getattr(args, "sigma", None) is not None:
-            kcfg["sigma"] = args.sigma
-        params = KernelParams(_real(kcfg["lambda"], "lambda"), _real(kcfg["sigma"], "sigma"), measure)
+        _known(cfg["kernel"], ("lambda", "sigma"), "kernel")
+        lam = cfg["kernel"]["lambda"] if args.lam is None else args.lam
+        sigma = cfg["kernel"]["sigma"] if args.sigma is None else args.sigma
+        params = KernelParams(_real(lam, "lambda"), _real(sigma, "sigma"), measure)
         measure.check_dim(dim)
     return params, dim
 
@@ -182,6 +195,9 @@ def _cmd_kernel(args) -> int:
     cfg = _load_json(args.config)
     params, dim = _kernel_params_from(cfg, args)
     op = cfg.get("op")
+    if op not in _KERNEL_OP_KEYS:
+        raise ConfigError(f"unknown kernel op {op!r}; pick cov_stationary, cov_dirac, mean_dirac or transition")
+    _known(cfg, ("dimension", "measure", "kernel", "op") + _KERNEL_OP_KEYS[op], f"{op} config")
     results: list[dict]
     if op in ("cov_stationary", "cov_dirac"):
         with _config_phase():
@@ -193,14 +209,12 @@ def _cmd_kernel(args) -> int:
             u = _corner(cfg["u"], dim)
             x0 = _real(cfg["x0"], "x0")
         results = [{"op": op, "u": u.to_json(), "x0": x0, "value": mean_dirac(params, x0, u)}]
-    elif op == "transition":
+    else:
         with _config_phase():
             a = _corner(cfg["a"], dim)
             b = canonicalize([_corner(c, dim) for c in cfg.get("b", [])])
         tp = transition_params(params, Increment(a, b))
         results = [{"op": op, **tp.to_json()}]
-    else:
-        raise ConfigError(f"unknown kernel op {op!r}; pick cov_stationary, cov_dirac, mean_dirac or transition")
     resolved = {**cfg, "kernel": params.to_json()}
     _write_json(args.json, {"config": resolved, "results": results})
     return 0
@@ -209,6 +223,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = _load_json(args.config)
     params, dim = _kernel_params_from(cfg, args)
+    _known(cfg, ("dimension", "measure", "kernel", "corners", "initial", "replicates", "seed"), "sample config")
     with _config_phase():
         corners = [_corner(c, dim) for c in cfg.get("corners", [])]
         if not corners:
@@ -240,15 +255,15 @@ def _cmd_sample(args) -> int:
 
 def _cmd_sheet(args) -> int:
     cfg = _load_json(args.config)
+    _known(cfg, ("grid", "alpha", "sigma", "points", "mode", "y0", "replicates", "seed"), "sheet config")
     with _config_phase():
+        _known(cfg["grid"], ("lower", "upper", "steps"), "grid")
         grid = GridSpec(_reals(cfg["grid"]["lower"], "grid lower"), _reals(cfg["grid"]["upper"], "grid upper"),
                         tuple(cfg["grid"]["steps"]))
         alpha = _reals(cfg["alpha"], "alpha")
         sigma = _check_sigma(_real(cfg["sigma"], "sigma"))
         _check_alpha(alpha, grid.dim)
         points = [_corner(p, grid.dim) for p in cfg["points"]]
-        if not points:
-            raise ConfigError("a sheet needs at least one point")
         for p in points:
             _check_point(grid, p)
         mode = cfg.get("mode", "stationary")

@@ -177,6 +177,9 @@ def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
     one-shot product when d <= 256. Above that its rounding follows the
     product's shape: for n > SAMPLE_BLOCK_ROWS a few draws differ from the
     one-shot product in the last bit (39 of 2.4e6 at d = 290, n = 8200, 2 threads).
+    Products of fewer rows take another kernel, so for n < SAMPLE_BLOCK_ROWS
+    the draws need not be a longer run's first n rows (n = 1 at d = 2 and 8;
+    n = 1, 2, 3, 7, 64, 100 at d = 145), unlike ``sheet.batch_paths`` rows.
     """
     if n < 0:
         raise ValueError(f"need a nonnegative draw count, got {n}")

@@ -92,9 +92,9 @@ class Corner:
             raise InvalidGeometryError(f"mixed dimensions {sorted({self.dim, other.dim})}; the dimension is fixed per session")
         return zip(self.coords, other.coords)
 
-    def leq(self, other: "Corner", atol: float = GEOM_ATOL) -> bool:
-        """Componentwise <= up to ``atol``, i.e. rectangle inclusion."""
-        return all(a <= b + atol for a, b in self._pairs(other))
+    def leq(self, other: "Corner") -> bool:
+        """Componentwise <=, i.e. rectangle inclusion, compared exactly."""
+        return all(a <= b for a, b in self._pairs(other))
 
     def meet(self, other: "Corner") -> "Corner":
         """Corner of the rectangle intersection: the componentwise minimum."""

@@ -17,21 +17,14 @@ cell centers u <= t. The grid's lower corner stands in for -infinity;
 exp(-2 min_i alpha_i L) for a tail cut at distance L, which is how the
 lower corner should be chosen.
 
-``batch_paths`` draws one normal per region instead of one per cell. The
-support is the set of cells whose center lies in some point's integration
-region, and a region is a group of support cells that lie in exactly the
-same points' integration regions. A cell c adds exp(<alpha, u_c - t_p>)
-dW(u_c) to point p, and the exponent splits as <alpha, u_c> - <alpha,
-t_p>, so within a region the cells' weight rows are proportional: their
-noise reaches every point of the region through one Gaussian, the sum of
-exp(<alpha, u_c>) dW(u_c) over the region. One standard normal times
-G[A, p] = sqrt(cell volume * sum over c in A of W[c, p]^2) has that
-Gaussian's law, and G^T G equals cell volume * W^T W. The rows are
-therefore exactly the midpoint sums of a ``sheet_increments`` field in
-law, with the same drift and covariance, and a row takes at most
-min(support, 2^P - 1) normals for P points. ``batch_paths`` and
-``sheet_increments`` draw from ``RngSeed.generator()``, like every other
-sampler in the package.
+``batch_paths`` draws the points' values from their joint law, not cell
+by cell. A cell c adds exp(<alpha, u_c - t_p>) dW(u_c) to point p, so for
+P points the midpoint sums are a drift plus a P-dimensional Gaussian with
+covariance cell volume * W^T W, W holding each support cell's weight at
+each point. A row is the drift plus the Cholesky factor of that
+covariance times at most P standard normals: exactly the midpoint sums
+of a ``sheet_increments`` field in law. Both draw from
+``RngSeed.generator()``, like every other sampler in the package.
 
 Restricted to rectangles [0, t] with t >= 0, the stationary integral is a
 set-indexed OU field in law for the axis measure with weights alpha, unit
@@ -52,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InvalidGridError, OutOfRangeError
-from .gaussian import RngSeed
+from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, factorize
 from .geometry import GEOM_ATOL, Corner
 from .kernel import KernelParams
 from .measures import MeasureSpec
@@ -67,10 +60,6 @@ __all__ = [
     "equivalent_kernel_params",
     "batch_paths",
 ]
-
-# Replicate rows whose normals batch_paths holds at once; it bounds memory, not the output.
-_BLOCK_ROWS = 64
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -111,17 +100,11 @@ class GridSpec:
 
     @property
     def cell_volume(self) -> float:
-        out = 1.0
-        for w in self.cell_widths:
-            out *= w
-        return out
+        return math.prod(self.cell_widths)
 
     @property
     def ncells(self) -> int:
-        out = 1
-        for s in self.steps:
-            out *= s
-        return out
+        return math.prod(self.steps)
 
     def to_json(self) -> dict:
         return {"lower": list(self.lower), "upper": list(self.upper), "steps": list(self.steps)}
@@ -148,8 +131,8 @@ def sheet_increments(spec: GridSpec, seed: RngSeed) -> SheetField:
     """Draw the grid's white-noise increments, one Normal(0, cell volume) per cell.
 
     The normals come from ``seed.generator()`` in C order. ``batch_paths``
-    samples the integrals of such a field in law, one normal per region, so
-    its rows do not reuse these draws.
+    samples the integrals of such a field in law, at most one normal per
+    point, so its rows do not reuse these draws.
     """
     z = seed.generator().standard_normal(spec.steps)
     return SheetField(spec, z * math.sqrt(spec.cell_volume), seed)
@@ -252,27 +235,24 @@ def equivalent_kernel_params(alpha, sigma: float) -> KernelParams:
     return KernelParams(lam=1.0, sigma=sigma_eff, measure=MeasureSpec.axis(tuple(a)))
 
 
-def _region_weights(W: np.ndarray, cell_volume: float) -> np.ndarray:
-    """Per-region weights ``G`` with ``G.T @ G == cell_volume * W.T @ W``: one row per region.
+def _sheet_factor(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
+                  stationary: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The points' midpoint sums in law: ``drift`` plus ``Gt`` times standard normals.
 
-    A region is the set of support cells whose rows of ``W > 0`` agree;
-    cells that carry no weight form no region. Within a region the rows of
-    ``W`` are proportional (each cell's row is exp(<alpha, u>) times one
-    vector), so G[A, p] = sqrt(cell_volume * sum over c in A of
-    W[c, p]^2) weights one standard normal with the law of the region's
-    contribution. Each entry is summed relative to its largest term, so
-    neither a large sigma nor a steep alpha overflows or underflows the
-    squares.
+    ``Gt @ Gt.T`` is cell volume * W^T W for the ``_cell_weights`` W. It is
+    sigma * peak times the ``factorize`` factor of the Gram of W / peak, W
+    built for sigma = 1 and peak its column maxima, so neither a huge sigma
+    nor a steep alpha overflows or underflows the squares. All-zero columns
+    are dropped: at most one normal per point, none for a point at its drift.
     """
-    patterns, region = np.unique(W > 0.0, axis=0, return_inverse=True)
-    region = region.reshape(-1)
-    peak = np.zeros((len(patterns), W.shape[1]))
-    np.maximum.at(peak, region, W)
+    sigma = _check_sigma(sigma)
+    _, W, drift = _cell_weights(spec, alpha, 1.0, points, y0, stationary)
+    peak = W.max(axis=0, initial=0.0)
     peak[peak == 0.0] = 1.0
-    sumsq = np.zeros_like(peak)
-    np.add.at(sumsq, region, (W / peak[region]) ** 2)
-    G = peak * np.sqrt(sumsq) * math.sqrt(cell_volume)
-    return G[patterns.any(axis=1)]
+    W /= peak
+    L, _ = factorize(spec.cell_volume * np.einsum("cp,cq->pq", W, W))
+    Gt = (sigma * peak)[:, None] * L
+    return drift, np.ascontiguousarray(Gt[:, Gt.any(axis=0)])
 
 
 def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, seed: RngSeed,
@@ -281,24 +261,23 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
 
     Returns a (replicates, len(points)) array whose row r holds the
     integrate_mpou (or integrate_stationary) values at every point for the
-    r-th independent sheet, in law: each row draws one normal per region
-    (``_region_weights``), not per cell, and has the drift and covariance
-    of the midpoint sums over a ``sheet_increments`` field.
+    r-th independent sheet, in law: the drift and covariance of the midpoint
+    sums over a ``sheet_increments`` field, from ``_sheet_factor``.
 
-    The rows are ``drift + einsum(z, G.T)`` for one ``(replicates,
-    regions)`` draw ``z`` from ``seed.generator()`` in C order, so a run's
-    first r rows equal those of any longer run with the same seed.
+    The rows are ``drift + einsum(z, Gt)`` for one ``(replicates, columns of
+    Gt)`` draw ``z`` from ``seed.generator()`` in C order, ``SAMPLE_BLOCK_ROWS``
+    rows at a time. The BLAS-free product sums each row in the same order at
+    any block length, so a run's first r rows equal any longer run's.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
     if len(points) == 0:
         raise ConfigError("a sheet needs at least one point")
-    _, W, drift = _cell_weights(spec, alpha, sigma, points, y0, stationary)
-    Gt = np.ascontiguousarray(_region_weights(W, spec.cell_volume).T)
+    drift, Gt = _sheet_factor(spec, alpha, sigma, points, y0, stationary)
     gen = seed.generator()
     out = np.empty((replicates, Gt.shape[0]))
-    for start in range(0, replicates, _BLOCK_ROWS):
-        rows = out[start : start + _BLOCK_ROWS]
+    for start in range(0, replicates, SAMPLE_BLOCK_ROWS):
+        rows = out[start : start + SAMPLE_BLOCK_ROWS]
         z = gen.standard_normal((len(rows), Gt.shape[1]))
         np.einsum("rk,pk->rp", z, Gt, out=rows)
         rows += drift

@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 from siou.cli import main
-from siou.gaussian import RngSeed
-from siou import sheet
+from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
 from siou.sheet import GridSpec, batch_paths
 
 
@@ -420,6 +419,44 @@ def test_config_reals_and_seed_keys_are_checked(tmp_path, capsys, command, make_
     assert not (tmp_path / "x.json").exists()
 
 
+def kernel_config(tmp_path, **extra):
+    return write_config(tmp_path, "k.json", {**KERNEL_BASE, "op": "cov_stationary", "u": [1.0, 1.0],
+                                             "v": [1.0, 2.0], **extra})
+
+
+def _renamed(make_config, old, new):
+    """A config maker whose key ``old`` is spelt ``new``."""
+    def make(tmp_path):
+        path = Path(make_config(tmp_path))
+        payload = json.loads(path.read_text())
+        payload[new] = payload.pop(old)
+        path.write_text(json.dumps(payload))
+        return str(path)
+    return make
+
+
+@pytest.mark.parametrize("command, make_config, key", [
+    ("sample", _renamed(sample_config, "initial", "inital"), "inital"),
+    ("sample", lambda tmp: sample_config(tmp, tiebreak="lex"), "tiebreak"),
+    ("sheet", _renamed(lambda tmp: sheet_config(tmp, mode="dirac"), "mode", "Mode"), "Mode"),
+    ("sheet", lambda tmp: sheet_config(tmp, mode="dirac", y_0=3.0), "y_0"),
+    ("kernel", lambda tmp: kernel_config(tmp, kernel={"lamda": 1.0, "sigma": 1.0}), "lamda"),
+    ("kernel", lambda tmp: kernel_config(tmp, measure={"kind": "lebesgue", "alpha": [1.0, 1.0]}), "alpha"),
+    ("kernel", lambda tmp: kernel_config(tmp, x0=0.5), "x0"),
+    ("sample", lambda tmp: sample_config(tmp, initial={"kind": "dirac", "x0": 0.7, "var": 1.0}), "var"),
+    ("sheet", lambda tmp: sheet_config(tmp, grid={"lower": [-6.0], "upper": [1.0], "step": [140]}), "step"),
+], ids=["sample_inital", "sample_tiebreak", "sheet_Mode", "sheet_y_0", "kernel_lamda", "lebesgue_alpha",
+        "cov_stationary_x0", "dirac_var", "grid_step"])
+def test_unknown_config_keys_are_configuration_errors(tmp_path, capsys, command, make_config, key):
+    argv = [command, "--config", make_config(tmp_path)]
+    code, out, err = run_cli(argv + ([] if command == "kernel" else _outputs(tmp_path)), capsys)
+    assert code == 2
+    assert err.startswith("configuration error: unknown ") and err.count("\n") == 1
+    assert repr([key]) in err
+    assert out == ""
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+
+
 def test_integral_float_config_values_give_the_integer_bytes(tmp_path, capsys):
     outs = []
     for tag, extra in (("int", {}), ("float", {"replicates": 50.0, "seed": {"seed": 11.0, "stream": 0.0}})):
@@ -461,15 +498,15 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
 
 
 def test_sheet_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
-    # Four 3-D points split the support into seven regions; three whole row
-    # blocks and a short one of 17 rows go through the einsum product.
+    # Four 3-D points, so the covariance passes through LAPACK's Cholesky; one
+    # whole row block and a short one of 17 rows go through the einsum product.
     cfg = write_config(tmp_path, "sh3.json", {
         "grid": {"lower": [-2.0, -2.0, -2.0], "upper": [1.0, 1.0, 1.0], "steps": [9, 9, 9]},
         "alpha": [1.0, 0.5, 2.0],
         "sigma": 0.9,
         "points": [[0.5, 1.0, 0.25], [1.0, 0.5, 0.5], [0.25, 0.25, 1.0], [1.0, 1.0, 1.0]],
         "mode": "stationary",
-        "replicates": 3 * sheet._BLOCK_ROWS + 17,
+        "replicates": SAMPLE_BLOCK_ROWS + 17,
         "seed": {"seed": 41, "stream": 2},
     })
     code, _, _ = run_cli(["sheet", "--config", cfg, "--csv", str(tmp_path / "here.csv"),
@@ -575,8 +612,8 @@ GOLDEN_SHEET = {
             "replicates": 150,
             "seed": 31,
         },
-        "d9d7ab1ef07a2dd60560622e1c87a38795eab3cdbf3c098895bb9254f5d6f10e",
-        "55cdfc2dad26168cf90e5ed4a42fe9811acf646b10cb357cf2e139a47211e964",
+        "d6af811109bf2016d28707c4bdc6810949c3b3749a4d655c39664a19537169d3",
+        "8a46a501e5e780156f790cebb76babf32dcdd06d2b8301abec371642d6c81d15",
     ),
     "stationary_1d": (
         {
@@ -588,8 +625,8 @@ GOLDEN_SHEET = {
             "replicates": 150,
             "seed": {"seed": 7, "stream": 3},
         },
-        "b12d77068ceecf25d96431caf6dfc8b14aeb12c5d48a6dd06a0afc5616555690",
-        "84131408782c778a567190139b4e8736d8b46a2733c1e4e5623b54789b4a9239",
+        "6781ab5014087f2d277c734ea34d20a5c1e8d3562e64442394d59aaa63a69259",
+        "10af6868f1476ded157138a627391fe6fbb5857f70ca266821ee5d406694d0c9",
     ),
 }
 

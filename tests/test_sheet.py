@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siou.errors import ConfigError, InvalidGridError, OutOfRangeError
-from siou.gaussian import RngSeed
+from siou.gaussian import RngSeed, factorize
 from siou.geometry import GEOM_ATOL, Corner
 from siou.kernel import cov_stationary
 from siou.measures import MeasureSpec
@@ -178,40 +178,31 @@ def test_batch_paths_needs_at_least_one_point(stationary):
 PTS_2D = [(0.25, 0.25), (0.5, 1.0), (1.0, 1.0)]
 
 
-def _regions(W):
-    """Each support cell's region index, in the order ``_region_weights`` gives its rows."""
-    patterns, region = np.unique(W > 0.0, axis=0, return_inverse=True)
-    assert patterns.any(axis=1).all()
-    return region.reshape(-1)
-
-
 def _field_realizing(spec, support, W, z, seed, junk=1e6):
-    """A sheet field whose midpoint sums equal ``drift + z @ G``, junk off the support.
+    """A sheet field whose midpoint sums equal ``drift + Gt @ z``, junk off the support.
 
-    Region A's normal z[A] spreads over its cells along their weights,
-    dW(c) = z[A] * sqrt(cell volume) * W[c, p] / |W[A, p]| for a point p
-    of the region. The weight rows of a region are proportional, so every
-    point of the region reads z[A] * G[A, p].
+    For W of full column rank, W = Q R (Householder QR, R's diagonal made
+    positive) gives W^T W = R^T R, so sqrt(cell volume) R^T is the Cholesky
+    factor ``Gt``. Normal k spreads over the support along column k of Q,
+    dW = sqrt(cell volume) Q z, whose sums W^T dW are exactly Gt z.
     """
-    region = _regions(W)
+    Q, R = np.linalg.qr(W)
+    Q *= np.sign(np.diag(R))
     flat = np.full(spec.ncells, junk)
-    for a in range(region.max() + 1):
-        cells = region == a
-        col = W[cells, np.flatnonzero(W[cells][0] > 0.0)[0]]
-        flat[support[cells]] = z[a] * math.sqrt(spec.cell_volume) * col / np.linalg.norm(col)
+    flat[support] = math.sqrt(spec.cell_volume) * (Q @ z)
     return SheetField(spec, flat.reshape(spec.steps), seed)
 
 
 def test_batch_paths_first_row_matches_pointwise_integrals():
-    # Row 0 equals the pointwise integrals of a field that spreads each region's
-    # normal over the region's cells; junk in every other cell changes nothing.
+    # Row 0 equals the pointwise integrals of a field that spreads each normal
+    # over the support cells; junk in every other cell changes nothing.
     pts = [Corner((0.25,)), Corner((0.75,))]
     alpha, sigma, y0 = (1.2,), 0.8, 0.4
     for stationary in (False, True):
         rows = batch_paths(GRID_1D, alpha, sigma, pts, 1, RngSeed(10), y0=y0, stationary=stationary)
         support, W, _ = _cell_weights(GRID_1D, alpha, sigma, pts, y0, stationary)
         assert support.size < GRID_1D.ncells
-        z = RngSeed(10).generator().standard_normal((1, _regions(W).max() + 1))[0]
+        z = RngSeed(10).generator().standard_normal((1, len(pts)))[0]
         f = _field_realizing(GRID_1D, support, W, z, RngSeed(10))
         for j, t in enumerate(pts):
             if stationary:
@@ -228,8 +219,6 @@ def test_steep_alpha_dirac_paths_stay_finite():
     rows = batch_paths(spec, alpha, 1.0, [pt], 3, RngSeed(1), y0=0.5)
     assert np.all(np.isfinite(rows))
     support, W, _ = _cell_weights(spec, alpha, 1.0, [pt], 0.5)
-    G = sheet._region_weights(W, spec.cell_volume)
-    assert G.shape == (1, 1) and G[0, 0] > 0.0
     z = RngSeed(1).generator().standard_normal((3, 1))
     for r in range(3):
         f = _field_realizing(spec, support, W, z[r], RngSeed(1))
@@ -254,16 +243,24 @@ def test_sigma_whose_square_overflows_keeps_finite_paths():
     np.testing.assert_allclose(huge, 1e200 * unit, rtol=1e-12)
 
 
-def _gram_gap(G, W, cell_volume):
-    """Largest entrywise relative gap between G.T @ G and cell_volume * W.T @ W."""
-    want = cell_volume * (W.T @ W)
-    return float(np.max(np.abs(G.T @ G - want) / np.maximum(np.abs(want), np.finfo(float).tiny), initial=0.0))
+def _factor_gap(Gt, W, cell_volume):
+    """Largest |Gt Gt^T - S| entry over sqrt(S_pp S_qq), for S = cell_volume * W^T W.
+
+    Both sides are first divided by each point's largest weight. That leaves
+    the ratio unchanged and keeps a steep alpha from underflowing the squares.
+    """
+    scale = W.max(axis=0, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    A, Wn = Gt / scale[:, None], W / scale
+    want = cell_volume * (Wn.T @ Wn)
+    d = np.sqrt(np.diag(want))
+    return float(np.max(np.abs(A @ A.T - want) / np.maximum(np.outer(d, d), np.finfo(float).tiny), initial=0.0))
 
 
 def test_whole_grid_support_has_the_covariance_of_the_grid_noise():
     # A stationary point at the upper corner puts every cell in the support.
     # The integrals of a sheet_increments field are increments @ W, whose
-    # covariance is cell_volume * W.T @ W; the two regions' weights match it.
+    # covariance is cell_volume * W.T @ W; the two points' factor matches it.
     pts = [Corner((0.25, 0.5)), Corner((1.0, 1.0))]
     support, W, _ = _cell_weights(GRID_2D, (1.0, 2.0), 1.0, pts, stationary=True)
     assert np.array_equal(support, np.arange(GRID_2D.ncells))
@@ -271,9 +268,9 @@ def test_whole_grid_support_has_the_covariance_of_the_grid_noise():
     for j, t in enumerate(pts):
         want = float(f.increments.ravel() @ W[:, j])
         assert abs(integrate_stationary(f, (1.0, 2.0), 1.0, t) - want) <= 1e-12 * (1.0 + abs(want))
-    G = sheet._region_weights(W, GRID_2D.cell_volume)
-    assert G.shape == (2, 2)
-    assert _gram_gap(G, W, GRID_2D.cell_volume) <= 1e-12
+    _, Gt = sheet._sheet_factor(GRID_2D, (1.0, 2.0), 1.0, pts, stationary=True)
+    assert Gt.shape == (2, 2)
+    assert _factor_gap(Gt, W, GRID_2D.cell_volume) <= 1e-12
 
 
 class _CountingSeed:
@@ -301,27 +298,35 @@ def test_dirac_points_at_the_origin_return_y0_and_draw_nothing():
     assert seed.drawn == 0
 
 
-def test_support_draws_count_one_normal_per_region():
-    # Three regions: cells below both points, below only the first, below only the second.
+def test_each_replicate_draws_one_normal_per_point():
+    # Hundreds of support cells, two points: a replicate takes two normals.
     pts = [(0.5, 0.5), (1.0, 0.25)]
     seed = _CountingSeed(RngSeed(15))
     batch_paths(GRID_2D, (1.0, 1.0), 1.0, pts, 300, seed)
-    support, W, _ = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, pts)
-    G = sheet._region_weights(W, GRID_2D.cell_volume)
-    assert G.shape == (3, 2) and support.size > 3
-    assert seed.drawn == 300 * G.shape[0]
+    support, _, _ = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, pts)
+    assert support.size > 100
+    assert seed.drawn == 300 * len(pts)
 
 
 @st.composite
 def grids_and_points(draw):
-    """A grid in dimension 1-3 (lower corners sometimes on the origin) and 1-4 points inside it."""
+    """A grid in dimension 1-3 (lower corners sometimes on the origin) and 1-5 points inside it.
+
+    Points lie anywhere in the grid or on a cell center, and one point may
+    be drawn twice.
+    """
     dim = draw(st.integers(1, 3))
     lower = tuple(draw(st.sampled_from([0.0, -0.5, draw(st.floats(-2.0, -0.01))])) for _ in range(dim))
     upper = tuple(draw(st.floats(0.1, 2.0)) for _ in range(dim))
     steps = tuple(draw(st.integers(1, 6)) for _ in range(dim))
     spec = GridSpec(lower, upper, steps)
     point = st.tuples(*[st.floats(0.0, up) for up in upper])
+    centers = [tuple(c) for c in sheet._centers_flat(spec).tolist() if min(c) >= 0.0]
+    if centers:
+        point = st.one_of(point, st.sampled_from(centers))
     points = draw(st.lists(point, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
     return spec, points, draw(st.booleans())
 
 
@@ -357,51 +362,61 @@ class _ZeroSeed:
 
 
 @settings(max_examples=200, deadline=None)
-@given(grids_and_points())
-def test_region_weights_have_the_law_of_the_cell_weights(case):
+@given(grids_and_points(), st.sampled_from([1.0, 40.0]))
+def test_sheet_factor_has_the_law_of_the_cell_weights(case, steepness):
+    # At steepness 40 a point's largest weight can be as small as exp(-560),
+    # so squares of unscaled weights underflow. It stays above the subnormal
+    # range, where float64 keeps too few bits for a relative check.
     spec, points, stationary = case
-    alpha = (1.0, 0.5, 2.0)[: spec.dim]
-    support, W, drift = _cell_weights(spec, alpha, 0.7, points, 0.2, stationary)
-    G = sheet._region_weights(W, spec.cell_volume)
-    assert G.shape[1] == len(points)
-    assert G.shape[0] <= min(support.size, 2 ** len(points) - 1)
-    assert _gram_gap(G, W, spec.cell_volume) <= 1e-12
+    alpha = tuple(steepness * a for a in (1.0, 0.5, 2.0)[: spec.dim])
+    _, W, drift = _cell_weights(spec, alpha, 0.7, points, 0.2, stationary)
+    jitters = []
+
+    def spy(cov):
+        L, jitter = factorize(cov)
+        jitters.append(jitter)
+        return L, jitter
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sheet, "factorize", spy)
+        got_drift, Gt = sheet._sheet_factor(spec, alpha, 0.7, points, 0.2, stationary)
+    assert jitters == [0.0]
+    np.testing.assert_array_equal(got_drift, drift)
+    assert Gt.shape[0] == len(points) and Gt.shape[1] <= len(points)
+    assert _factor_gap(Gt, W, spec.cell_volume) <= 1e-12
     rows = batch_paths(spec, alpha, 0.7, points, 3, _ZeroSeed(), y0=0.2, stationary=stationary)
     np.testing.assert_array_equal(rows, np.broadcast_to(drift, rows.shape))
 
 
 @settings(max_examples=200, deadline=None)
 @given(grids_and_points(), st.integers(1, 150), st.integers(1, 80), st.integers(0, 2**32))
-def test_batch_paths_rows_are_drift_plus_one_region_draw(case, replicates, extra, seed_value):
-    # Whatever the block size, the rows are drift + einsum(z, G.T), G.T held
-    # contiguous, for one (replicates, regions) draw z, so a shorter run is a
-    # prefix of a longer one.
+def test_batch_paths_rows_are_drift_plus_one_factor_draw(case, replicates, extra, seed_value):
+    # Whatever the block size, the rows are drift + einsum(z, Gt) for one
+    # (replicates, columns of Gt) draw z, so a shorter run is a prefix of a
+    # longer one.
     spec, points, stationary = case
     alpha, seed = (1.0, 0.5, 2.0)[: spec.dim], RngSeed(seed_value)
-    _, W, drift = _cell_weights(spec, alpha, 0.7, points, 0.2, stationary)
-    Gt = np.ascontiguousarray(sheet._region_weights(W, spec.cell_volume).T)
+    drift, Gt = sheet._sheet_factor(spec, alpha, 0.7, points, 0.2, stationary)
     z = seed.generator().standard_normal((replicates + extra, Gt.shape[1]))
     want = drift + np.einsum("rk,pk->rp", z, Gt)
     for block_rows in (1, 7, 64):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sheet, "_BLOCK_ROWS", block_rows)
+            mp.setattr(sheet, "SAMPLE_BLOCK_ROWS", block_rows)
             got = batch_paths(spec, alpha, 0.7, points, replicates + extra, seed, y0=0.2, stationary=stationary)
         np.testing.assert_array_equal(got, want)
     short = batch_paths(spec, alpha, 0.7, points, replicates, seed, y0=0.2, stationary=stationary)
     np.testing.assert_array_equal(short, want[:replicates])
 
 
-def test_region_weights_summed_linearly_fail_the_law():
-    # Negative control: adding a region's weights instead of their squares
-    # gives the variance of fully correlated cells, not independent ones.
-    support, W, _ = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 0.2)
-    region = _regions(W)
-    linear = np.zeros((region.max() + 1, W.shape[1]))
-    np.add.at(linear, region, W)
-    linear *= math.sqrt(GRID_2D.cell_volume)
-    assert support.size > linear.shape[0]
-    assert _gram_gap(linear, W, GRID_2D.cell_volume) > 1e-12
-    assert _gram_gap(sheet._region_weights(W, GRID_2D.cell_volume), W, GRID_2D.cell_volume) <= 1e-12
+def test_cell_weights_summed_not_squared_fail_the_law():
+    # Negative control: one normal weighted by each point's summed cell
+    # weights, not their root sum of squares, gives the covariance of fully
+    # correlated cells, not independent ones.
+    _, W, _ = _cell_weights(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 0.2)
+    summed = math.sqrt(GRID_2D.cell_volume) * W.sum(axis=0)[:, None]
+    assert _factor_gap(summed, W, GRID_2D.cell_volume) > 1e-12
+    _, Gt = sheet._sheet_factor(GRID_2D, (1.0, 1.0), 1.0, PTS_2D, 0.2)
+    assert _factor_gap(Gt, W, GRID_2D.cell_volume) <= 1e-12
 
 
 @pytest.mark.parametrize("stationary", [False, True])
