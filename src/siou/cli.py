@@ -6,11 +6,13 @@ plus a JSON plan sidecar), sheet (sheet-integral Monte Carlo to CSV plus a
 JSON moment report), verify (run a check suite).
 
 Conventions: run configuration comes from a JSON file where a subcommand
-takes one, with flags overriding file values; every JSON output embeds the
-fully resolved configuration under "config" with the payload under
-"results"; outputs are byte-identical across reruns of the same
-invocation. Exit codes: 0 success, 1 failed checks, numerical errors or
-outputs too large to allocate, 2 usage or configuration errors.
+takes one, with flags laid over the file's values; one table per subcommand
+(``_TABLES``) gives each key's kind and default, and :func:`_walk` checks a
+config against it. Every JSON output embeds the fully resolved
+configuration under "config" with the payload under "results"; outputs are
+byte-identical across reruns of the same invocation. Exit codes: 0 success,
+1 failed checks, numerical errors or outputs too large to allocate, 2 usage
+or configuration errors.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,24 +41,18 @@ __all__ = ["main"]
 
 @contextmanager
 def _config_phase():
-    """Reclassify errors hit while resolving user input as config errors.
-
-    Package errors, and the ValueError/TypeError/KeyError that malformed
-    JSON values or missing entries raise, all mean the input is unusable.
-    """
+    """Reclassify the errors that library constructors raise on walked config values as config errors."""
     try:
         yield
     except ConfigError:
         raise
-    except KeyError as exc:
-        raise ConfigError(f"missing config entry {exc}") from exc
-    except (SiouError, ValueError, TypeError) as exc:
+    except (SiouError, ValueError) as exc:  # RngSeed raises ValueError for an out-of-range seed
         raise ConfigError(str(exc)) from exc
 
 
 def _parse_corner(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse corner {text!r}: {exc}") from exc
 
@@ -66,19 +63,16 @@ def _parse_union(text: str) -> list[list[float]]:
     return [_parse_corner(part) for part in text.split(";")]
 
 
-def _corner(coords, dim: int | None = None) -> Corner:
-    c = Corner(_reals(coords, "corner"))
-    if dim is not None and c.dim != dim:
-        raise ConfigError(f"corner {c.coords} has dimension {c.dim}, expected {dim}")
-    return c
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _names(words, conjunction: str) -> str:
+    return f"{', '.join(words[:-1])} {conjunction} {words[-1]}" if len(words) > 1 else words[0]
 
 
 def _integer(value, name: str) -> int:
@@ -97,45 +91,135 @@ def _real(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _reals(values, name: str) -> tuple[float, ...]:
-    """A config list of reals, each checked by :func:`_real`, so a string is an error, not its characters."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    return tuple(_real(v, name) for v in values)
+def _list_of(kind, of: str = "numbers", item: str | None = None):
+    """The kind of a config list whose entries have ``kind``, named ``item`` (default: the list's name) in messages."""
+    def check(values, name: str) -> tuple:
+        if not isinstance(values, list):
+            raise ConfigError(f"{name} must be a list of {of}, got {values!r}")
+        return tuple(kind(v, item or name) for v in values)
+    return check
 
 
-def _known(obj, keys, where: str) -> None:
-    """Reject a config object with a key outside ``keys``, so a misspelt key is an error, not a silent default."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"a {where} must be a JSON object, got {obj!r}")
-    if unknown := sorted(set(obj) - set(keys)):
-        names = f"{', '.join(keys[:-1])} and {keys[-1]}" if len(keys) > 1 else keys[0]
-        raise ConfigError(f"unknown {where} keys {unknown}; a {where} object takes {names}")
+_reals = _list_of(_real)
+_corner = _list_of(_real, item="corner")
+_corners = _list_of(_corner, "corners", "corner")
 
 
-_KERNEL_OP_KEYS = {"cov_stationary": ("u", "v"), "cov_dirac": ("u", "v"), "mean_dirac": ("u", "x0"),
-                   "transition": ("a", "b")}
+def _start(value, name: str) -> float:
+    """A start value ``x0`` or ``y0``: a real that :meth:`InitialLaw.dirac` takes, so not NaN or infinite."""
+    x = _real(value, name)
+    try:
+        InitialLaw.dirac(x)
+    except ConfigError:
+        raise ConfigError(f"{name} must be finite, got {x!r}") from None
+    return x
 
 
-def _initial_from(data) -> InitialLaw:
-    """The initial law of a config, with its parameters checked as reals."""
-    if isinstance(data, dict):
-        data = {key: _real(v, key) if key in ("x0", "mu", "var") else _reals(v, key) if key == "values" else v
-                for key, v in data.items()}
-    law = InitialLaw.from_json(data)
-    _known(data, tuple(law.to_json()), f"{law.kind} initial law")
-    return law
+def _one_of(*choices: str):
+    """The kind of an enum: one of the strings ``choices``."""
+    def check(value, name: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"unknown {name} {value!r}; pick {_names(choices, 'or')}")
+        return value
+    return check
 
 
-def _seed_from(value, override: int | None) -> RngSeed:
-    if override is not None:
-        return RngSeed(override)
-    if value is None:
-        raise ConfigError("a seed is required: set it in the config or pass --seed")
+def _seed(value, name: str) -> dict:
+    """A seed: an integer, or an object with an integer ``seed`` and ``stream``."""
     if isinstance(value, dict):
-        _known(value, ("seed", "stream"), "seed")
-        return RngSeed(_integer(value["seed"], "seed"), _integer(value.get("stream", 0), "stream"))
-    return RngSeed(_integer(value, "seed"))
+        return _walk(value, _SEED, name)
+    return {"seed": _integer(value, name), "stream": 0}
+
+
+class _Field(NamedTuple):
+    """A key of a config table: a kind function ``(value, name)``, a nested table, or a dict of tag cases."""
+
+    key: str
+    kind: object
+    default: object = ...  # ... marks a required key
+    label: str | None = None  # the value's name in messages, if not the key
+
+
+def _walk(obj, table: tuple, where: str) -> dict:
+    """The values of config object ``obj`` checked against ``table`` in table order, up to the first error.
+
+    A tag is read first, since its case adds fields to the table. A key
+    outside the table is an error, so a misspelt key is not a silent
+    default. A missing key takes its default, unchecked.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    fields = list(table)
+    for f in table:
+        if isinstance(f.kind, dict):
+            tag = _one_of(*f.kind)(obj.get(f.key), f.label or f.key)
+            fields, where = fields + list(f.kind[tag]), f"{tag} {where}"
+    keys = [f.key for f in fields]
+    if unknown := sorted(set(obj) - set(keys)):
+        raise ConfigError(f"unknown {where} keys {unknown}; a {where} object takes {_names(keys, 'and')}")
+    out = {}
+    for f in fields:
+        if f.key not in obj:
+            if f.default is ...:
+                raise ConfigError(f"missing config entry {f.key!r}")
+            out[f.key] = f.default
+        elif isinstance(f.kind, dict):  # a tag, read above
+            out[f.key] = obj[f.key]
+        elif isinstance(f.kind, tuple):
+            out[f.key] = _walk(obj[f.key], f.kind, f.label or f.key)
+        else:
+            out[f.key] = f.kind(obj[f.key], f.label or f.key)
+    return out
+
+
+_SEED = (_Field("seed", _integer), _Field("stream", _integer, 0))
+_MEASURE = (_Field("kind", {"lebesgue": (), "axis": (_Field("alpha", _reals),)}, label="measure kind"),)
+_MODEL = (_Field("dimension", _integer), _Field("measure", _MEASURE),
+          _Field("kernel", (_Field("lambda", _real), _Field("sigma", _real))))
+_INITIAL = (_Field("kind", {"dirac": (_Field("x0", _real),), "normal": (_Field("mu", _real), _Field("var", _real)),
+                            "empirical": (_Field("values", _reals),)}, label="initial law kind"),)
+_GRID = (_Field("lower", _list_of(_real, item="grid lower")), _Field("upper", _list_of(_real, item="grid upper")),
+         _Field("steps", _list_of(lambda v, name: v, "integers")))  # GridSpec checks the cell counts
+_TABLES = {
+    "kernel": _MODEL + (_Field("op", {
+        "cov_stationary": (_Field("u", _corner), _Field("v", _corner)),
+        "cov_dirac": (_Field("u", _corner), _Field("v", _corner)),
+        "mean_dirac": (_Field("u", _corner), _Field("x0", _start)),
+        "transition": (_Field("a", _corner), _Field("b", _corners, ())),
+    }, label="kernel op"),),
+    "sample": _MODEL + (_Field("corners", _corners), _Field("initial", _INITIAL, None, "initial law"),
+                        _Field("replicates", _integer), _Field("seed", _seed)),
+    "sheet": (_Field("grid", _GRID), _Field("alpha", _reals), _Field("sigma", _real), _Field("points", _corners),
+              _Field("mode", _one_of("stationary", "dirac"), "stationary", "sheet mode"), _Field("y0", _start, 0.0),
+              _Field("replicates", _integer), _Field("seed", _seed)),
+}
+
+
+def _config(args, command: str) -> tuple[dict, dict]:
+    """The config file of ``args`` with each flag given laid over its key, and the values walked from it.
+
+    A flag replaces the file's value, which is not read.
+    """
+    cfg = _load_json(args.config)
+    if isinstance(cfg, dict):
+        cfg = {**cfg, **{key: getattr(args, key) for key in ("seed", "replicates") if getattr(args, key) is not None}}
+        if isinstance(cfg.get("kernel"), dict):
+            flags = {"lambda": args.lam, "sigma": args.sigma}
+            cfg["kernel"] = {**cfg["kernel"], **{key: value for key, value in flags.items() if value is not None}}
+    return cfg, _walk(cfg, _TABLES[command], f"{command} config")
+
+
+def _corner_in(coords, dim: int) -> Corner:
+    c = Corner(coords)
+    if c.dim != dim:
+        raise ConfigError(f"corner {c.coords} has dimension {c.dim}, expected {dim}")
+    return c
+
+
+def _kernel_params(vals: dict) -> KernelParams:
+    params = KernelParams(vals["kernel"]["lambda"], vals["kernel"]["sigma"], MeasureSpec.from_json(vals["measure"]))
+    params.measure.check_dim(vals["dimension"])
+    return params
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -165,9 +249,11 @@ def _csv_field(text: str) -> str:
 
 
 def _cmd_frontier(args) -> int:
+    vals = _walk({"a": _parse_corner(args.a), "b": _parse_union(args.b)},
+                 (_Field("a", _corner), _Field("b", _corners)), "frontier")
     with _config_phase():
-        a = Corner(tuple(_parse_corner(args.a)))
-        b = canonicalize([_corner(c, a.dim) for c in _parse_union(args.b)])
+        a = Corner(vals["a"])
+        b = canonicalize([_corner_in(row, a.dim) for row in vals["b"]])
     fr = frontier(Increment(a, b))
     payload = {
         "config": {"a": a.to_json(), "b": b.to_json()},
@@ -177,42 +263,19 @@ def _cmd_frontier(args) -> int:
     return 0
 
 
-def _kernel_params_from(cfg: dict, args) -> tuple[KernelParams, int]:
-    with _config_phase():
-        dim = _integer(cfg["dimension"], "dimension")
-        measure = MeasureSpec.from_json(cfg["measure"])
-        _known(cfg["measure"], tuple(measure.to_json()), f"{measure.kind} measure")
-        _reals(cfg["measure"].get("alpha", []), "alpha")  # MeasureSpec reads ["1"] as (1.0,)
-        _known(cfg["kernel"], ("lambda", "sigma"), "kernel")
-        lam = cfg["kernel"]["lambda"] if args.lam is None else args.lam
-        sigma = cfg["kernel"]["sigma"] if args.sigma is None else args.sigma
-        params = KernelParams(_real(lam, "lambda"), _real(sigma, "sigma"), measure)
-        measure.check_dim(dim)
-    return params, dim
-
-
 def _cmd_kernel(args) -> int:
-    cfg = _load_json(args.config)
-    params, dim = _kernel_params_from(cfg, args)
-    op = cfg.get("op")
-    if op not in _KERNEL_OP_KEYS:
-        raise ConfigError(f"unknown kernel op {op!r}; pick cov_stationary, cov_dirac, mean_dirac or transition")
-    _known(cfg, ("dimension", "measure", "kernel", "op") + _KERNEL_OP_KEYS[op], f"{op} config")
-    results: list[dict]
+    cfg, vals = _config(args, "kernel")
+    op, dim = vals["op"], vals["dimension"]
+    with _config_phase():
+        params = _kernel_params(vals)
+        u, v, a = (_corner_in(vals[key], dim) if key in vals else None for key in ("u", "v", "a"))
+        b = canonicalize([_corner_in(row, dim) for row in vals.get("b", ())])
     if op in ("cov_stationary", "cov_dirac"):
-        with _config_phase():
-            u, v = _corner(cfg["u"], dim), _corner(cfg["v"], dim)
         cov = cov_stationary if op == "cov_stationary" else cov_dirac
         results = [{"op": op, "u": u.to_json(), "v": v.to_json(), "value": cov(params, u, v)}]
     elif op == "mean_dirac":
-        with _config_phase():
-            u = _corner(cfg["u"], dim)
-            x0 = _real(cfg["x0"], "x0")
-        results = [{"op": op, "u": u.to_json(), "x0": x0, "value": mean_dirac(params, x0, u)}]
+        results = [{"op": op, "u": u.to_json(), "x0": vals["x0"], "value": mean_dirac(params, vals["x0"], u)}]
     else:
-        with _config_phase():
-            a = _corner(cfg["a"], dim)
-            b = canonicalize([_corner(c, dim) for c in cfg.get("b", [])])
         tp = transition_params(params, Increment(a, b))
         results = [{"op": op, **tp.to_json()}]
     resolved = {**cfg, "kernel": params.to_json()}
@@ -221,19 +284,16 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _load_json(args.config)
-    params, dim = _kernel_params_from(cfg, args)
-    _known(cfg, ("dimension", "measure", "kernel", "corners", "initial", "replicates", "seed"), "sample config")
+    cfg, vals = _config(args, "sample")
+    replicates = vals["replicates"]
     with _config_phase():
-        corners = [_corner(c, dim) for c in cfg.get("corners", [])]
-        if not corners:
-            raise ConfigError("sample config needs a nonempty corners list")
-        initial = _initial_from(cfg.get("initial", {"kind": "normal", "mu": 0.0, "var": params.stationary_variance}))
-        replicates = _integer(args.replicates if args.replicates is not None else cfg.get("replicates", 0),
-                              "replicates")
-        if replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {replicates}")
-        seed = _seed_from(cfg.get("seed"), args.seed)
+        params = _kernel_params(vals)
+        corners = [_corner_in(row, vals["dimension"]) for row in vals["corners"]]
+        initial = (InitialLaw.normal(0.0, params.stationary_variance) if vals["initial"] is None
+                   else InitialLaw.from_json(vals["initial"]))
+        seed = RngSeed(**vals["seed"])
+    if not corners:
+        raise ConfigError("sample config needs a nonempty corners list")
     pl = plan(corners)
     path = simulate(pl, params, initial, replicates, seed)
     labels = [_corner_label(c.coords) for c in path.corners]
@@ -254,27 +314,18 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sheet(args) -> int:
-    cfg = _load_json(args.config)
-    _known(cfg, ("grid", "alpha", "sigma", "points", "mode", "y0", "replicates", "seed"), "sheet config")
+    cfg, vals = _config(args, "sheet")
+    alpha, mode, y0, replicates = vals["alpha"], vals["mode"], vals["y0"], vals["replicates"]
     with _config_phase():
-        _known(cfg["grid"], ("lower", "upper", "steps"), "grid")
-        grid = GridSpec(_reals(cfg["grid"]["lower"], "grid lower"), _reals(cfg["grid"]["upper"], "grid upper"),
-                        tuple(cfg["grid"]["steps"]))
-        alpha = _reals(cfg["alpha"], "alpha")
-        sigma = _check_sigma(_real(cfg["sigma"], "sigma"))
+        grid = GridSpec(**vals["grid"])
+        sigma = _check_sigma(vals["sigma"])
         _check_alpha(alpha, grid.dim)
-        points = [_corner(p, grid.dim) for p in cfg["points"]]
+        points = [_corner_in(row, grid.dim) for row in vals["points"]]
         for p in points:
             _check_point(grid, p)
-        mode = cfg.get("mode", "stationary")
-        if mode not in ("stationary", "dirac"):
-            raise ConfigError(f"unknown sheet mode {mode!r}; pick stationary or dirac")
-        y0 = _real(cfg.get("y0", 0.0), "y0")
-        replicates = _integer(args.replicates if args.replicates is not None else cfg.get("replicates", 0),
-                              "replicates")
-        if replicates < 2:
-            raise ConfigError(f"sheet replicates must be >= 2 for the empirical covariance, got {replicates}")
-        seed = _seed_from(cfg.get("seed"), args.seed)
+        seed = RngSeed(**vals["seed"])
+    if replicates < 2:
+        raise ConfigError(f"sheet replicates must be >= 2 for the empirical covariance, got {replicates}")
     values = batch_paths(grid, alpha, sigma, points, replicates, seed,
                          y0=y0, stationary=(mode == "stationary"))
     eq = equivalent_kernel_params(alpha, sigma)
@@ -322,6 +373,7 @@ def _cmd_verify(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="siou", description="Set-indexed OU process toolkit")
+    parser.set_defaults(lam=None, sigma=None, seed=None, replicates=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_frontier = sub.add_parser("frontier", help="signed frontier of an increment")

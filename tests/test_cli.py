@@ -1,5 +1,6 @@
 """Command-line interface: outputs, overrides, exit codes, reproducibility."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,9 +9,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_readme import CONFIGS as README_CONFIGS
 
 from siou.cli import main
 from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
@@ -640,3 +645,138 @@ def test_sheet_outputs_match_golden_digests(tmp_path, capsys, name):
     assert code == 0
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
     assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("op", [["x"], {}], ids=["list", "object"])
+def test_an_unhashable_kernel_op_is_a_configuration_error(tmp_path, capsys, op):
+    code, out, err = run_cli(["kernel", "--config", kernel_config(tmp_path, op=op)], capsys)
+    assert code == 2
+    assert err == f"configuration error: unknown kernel op {op!r}; pick cov_stationary, cov_dirac, mean_dirac or transition\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, make_config, key, value", [
+    ("kernel", mean_dirac_config, "x0", math.nan),
+    ("kernel", mean_dirac_config, "x0", -math.inf),
+    ("sheet", lambda tmp, **extra: sheet_config(tmp, mode="dirac", **extra), "y0", math.inf),
+    ("sheet", lambda tmp, **extra: sheet_config(tmp, mode="dirac", **extra), "y0", math.nan),
+], ids=["nan_x0", "infinite_x0", "infinite_y0", "nan_y0"])
+def test_a_non_finite_start_value_is_a_configuration_error(tmp_path, capsys, command, make_config, key, value):
+    outputs = _outputs(tmp_path) if command == "sheet" else ["--json", str(tmp_path / "x.json")]
+    code, out, err = run_cli([command, "--config", make_config(tmp_path, **{key: value}), *outputs], capsys)
+    assert code == 2
+    assert err == f"configuration error: {key} must be finite, got {value!r}\n"
+    assert out == ""
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+
+
+def _top_level_list(make_config):
+    def make(tmp_path):
+        path = Path(make_config(tmp_path))
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        return str(path)
+    return make
+
+
+@pytest.mark.parametrize("command, make_config, message", [
+    ("kernel", _top_level_list(kernel_config), "kernel config must be a JSON object"),
+    ("sample", _top_level_list(sample_config), "sample config must be a JSON object"),
+    ("kernel", lambda tmp: write_config(tmp, "k.json", {**KERNEL_BASE, "op": "transition", "a": [2.0, 2.0], "b": 5}),
+     "b must be a list of corners, got 5"),
+    ("sheet", lambda tmp: sheet_config(tmp, points=5), "points must be a list of corners, got 5"),
+    ("sample", lambda tmp: sample_config(tmp, corners=None), "corners must be a list of corners, got None"),
+    ("sheet", lambda tmp: sheet_config(tmp, grid={"lower": [-6.0], "upper": [1.0], "steps": "12"}),
+     "steps must be a list of integers, got '12'"),
+], ids=["kernel_list", "sample_list", "number_b", "number_points", "null_corners", "string_steps"])
+def test_shape_errors_name_their_key(tmp_path, capsys, command, make_config, message):
+    argv = [command, "--config", make_config(tmp_path)]
+    code, out, err = run_cli(argv + ([] if command == "kernel" else _outputs(tmp_path)), capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"configuration error: {message}")
+    assert out == ""
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("a, b, corner", [("2,,2", "", "2,,2"), ("2,2,", "", "2,2,"), ("2,2", "1,,2;2,1", "1,,2")],
+                         ids=["inner", "trailing", "in_union"])
+def test_an_empty_frontier_corner_field_is_a_configuration_error(capsys, a, b, corner):
+    code, out, err = run_cli(["frontier", "--a", a, "--b", b], capsys)
+    assert code == 2
+    assert err.startswith(f"configuration error: cannot parse corner {corner!r}") and err.count("\n") == 1
+    assert out == ""
+
+
+# Bases for the mutation property: the README's kernel (transition), sample and
+# sheet configs, and one config for each of the other kernel ops.
+MUTATION_BASES = [(command, json.loads(body)) for command, body in README_CONFIGS] + [
+    ("kernel", {**KERNEL_BASE, "op": "cov_stationary", "u": [1.0, 1.0], "v": [2.0, 1.0]}),
+    ("kernel", {**KERNEL_BASE, "op": "cov_dirac", "u": [1.0, 1.0], "v": [2.0, 1.0]}),
+    ("kernel", {**KERNEL_BASE, "op": "mean_dirac", "u": [1.0, 1.0], "x0": 0.5}),
+]
+# Keys that have a default, or that the same object takes without them: dropping or adding them is no error.
+OPTIONAL_KEYS = {"b", "initial", "mode", "y0", "stream"}
+
+
+def _leaves(node, path=()):
+    """``(path, value)`` for every key and list entry below ``node``."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+
+
+def _one_edit(key):
+    """The strings one insertion, deletion, substitution or adjacent swap away from ``key``."""
+    letters = "abcdefghijklmnopqrstuvwxyz_0"
+    splits = [(key[:i], key[i:]) for i in range(len(key) + 1)]
+    return ({a + b[1:] for a, b in splits if b} | {a + b[1] + b[0] + b[2:] for a, b in splits if len(b) > 1}
+            | {a + c + b[1:] for a, b in splits if b for c in letters} | {a + c + b for a, b in splits for c in letters})
+
+
+def _sites(cfg):
+    """``(path, how)`` for each way to break one leaf of ``cfg``."""
+    for path, value in _leaves(cfg):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path, "number"
+        if path[-1] in ("op", "kind", "mode"):
+            yield path, "enum"
+        if isinstance(path[-1], str):
+            yield path, "near_key"
+            if path[-1] not in OPTIONAL_KEYS:
+                yield path, "drop"
+
+
+@st.composite
+def mutated_configs(draw):
+    command, cfg = draw(st.sampled_from(MUTATION_BASES))
+    cfg = json.loads(json.dumps(cfg))
+    path, how = draw(st.sampled_from(list(_sites(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if how == "number":
+        parent[key] = draw(st.sampled_from(["1.5", True, False, [parent[key]], None]))
+    elif how == "enum":
+        parent[key] = draw(st.sampled_from(["nope", "", parent[key].upper(), [parent[key]]]))
+    elif how == "drop":
+        del parent[key]
+    else:
+        parent[draw(st.sampled_from(sorted(_one_edit(key) - set(parent) - OPTIONAL_KEYS)))] = parent[key]
+    return command, cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_configs())
+def test_a_config_with_one_broken_leaf_is_one_configuration_error(mutated):
+    command, cfg = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "c.json").write_text(json.dumps(cfg))
+        argv = [command, "--config", str(out / "c.json"), "--json", str(out / "x.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv if command == "kernel" else argv + ["--csv", str(out / "x.csv")])
+        assert code == 2
+        assert err.getvalue().startswith("configuration error: ") and err.getvalue().count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["c.json"]
