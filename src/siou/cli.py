@@ -8,11 +8,11 @@ JSON moment report), verify (run a check suite).
 Conventions: run configuration comes from a JSON file where a subcommand
 takes one, with flags laid over the file's values; one table per subcommand
 (``_TABLES``) gives each key's kind and default, and :func:`_walk` checks a
-config against it. Every JSON output embeds the fully resolved
-configuration under "config" with the payload under "results"; outputs are
-byte-identical across reruns of the same invocation. Exit codes: 0 success,
-1 failed checks, numerical errors or outputs too large to allocate, 2 usage
-or configuration errors.
+config against it. Commands build from the walked values, every default
+filled, and echo them as the JSON output's "config" beside its "results",
+so a config block runs again as given; reruns are byte-identical. Exit
+codes: 0 success, 1 failed checks, numerical errors or outputs too large
+to allocate, 2 usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed
 from .geometry import Corner, Increment, canonicalize, frontier
 from .kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac, transition_params
 from .measures import MeasureSpec
-from .sheet import GridSpec, _check_alpha, _check_point, _check_sigma, batch_paths, equivalent_kernel_params
+from .sheet import GridSpec, _cell_count, _check_alpha, _check_point, _check_sigma, batch_paths, equivalent_kernel_params
 from .simulator import InitialLaw, plan, simulate
 from .verify import run_suite, theory_dirac, theory_stationary
 
@@ -41,11 +41,9 @@ __all__ = ["main"]
 
 @contextmanager
 def _config_phase():
-    """Reclassify the errors that library constructors raise on walked config values as config errors."""
+    """Reclassify the errors library code raises on config values, in the walk or after it, as config errors."""
     try:
         yield
-    except ConfigError:
-        raise
     except (SiouError, ValueError) as exc:  # RngSeed raises ValueError for an out-of-range seed
         raise ConfigError(str(exc)) from exc
 
@@ -106,12 +104,10 @@ _corners = _list_of(_corner, "corners", "corner")
 
 
 def _start(value, name: str) -> float:
-    """A start value ``x0`` or ``y0``: a real that :meth:`InitialLaw.dirac` takes, so not NaN or infinite."""
+    """A start value ``x0`` or ``y0``: a real that is not NaN or infinite."""
     x = _real(value, name)
-    try:
-        InitialLaw.dirac(x)
-    except ConfigError:
-        raise ConfigError(f"{name} must be finite, got {x!r}") from None
+    if not np.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {x!r}")
     return x
 
 
@@ -127,7 +123,7 @@ def _one_of(*choices: str):
 def _seed(value, name: str) -> dict:
     """A seed: an integer, or an object with an integer ``seed`` and ``stream``."""
     if isinstance(value, dict):
-        return _walk(value, _SEED, name)
+        return _walk(value, _SEED, name, f"{name}.")
     return {"seed": _integer(value, name), "stream": 0}
 
 
@@ -140,12 +136,13 @@ class _Field(NamedTuple):
     label: str | None = None  # the value's name in messages, if not the key
 
 
-def _walk(obj, table: tuple, where: str) -> dict:
+def _walk(obj, table: tuple, where: str, path: str = "") -> dict:
     """The values of config object ``obj`` checked against ``table`` in table order, up to the first error.
 
     A tag is read first, since its case adds fields to the table. A key
     outside the table is an error, so a misspelt key is not a silent
-    default. A missing key takes its default, unchecked.
+    default. A missing key takes its default, unchecked, or is named by
+    its dotted path from the config's top (``path`` is the object's).
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
@@ -161,12 +158,12 @@ def _walk(obj, table: tuple, where: str) -> dict:
     for f in fields:
         if f.key not in obj:
             if f.default is ...:
-                raise ConfigError(f"missing config entry {f.key!r}")
+                raise ConfigError(f"missing config entry {path + f.key!r}")
             out[f.key] = f.default
         elif isinstance(f.kind, dict):  # a tag, read above
             out[f.key] = obj[f.key]
         elif isinstance(f.kind, tuple):
-            out[f.key] = _walk(obj[f.key], f.kind, f.label or f.key)
+            out[f.key] = _walk(obj[f.key], f.kind, f.label or f.key, f"{path}{f.key}.")
         else:
             out[f.key] = f.kind(obj[f.key], f.label or f.key)
     return out
@@ -179,7 +176,7 @@ _MODEL = (_Field("dimension", _integer), _Field("measure", _MEASURE),
 _INITIAL = (_Field("kind", {"dirac": (_Field("x0", _real),), "normal": (_Field("mu", _real), _Field("var", _real)),
                             "empirical": (_Field("values", _reals),)}, label="initial law kind"),)
 _GRID = (_Field("lower", _list_of(_real, item="grid lower")), _Field("upper", _list_of(_real, item="grid upper")),
-         _Field("steps", _list_of(lambda v, name: v, "integers")))  # GridSpec checks the cell counts
+         _Field("steps", _list_of(lambda v, name: _cell_count(v), "integers")))
 _TABLES = {
     "kernel": _MODEL + (_Field("op", {
         "cov_stationary": (_Field("u", _corner), _Field("v", _corner)),
@@ -195,10 +192,11 @@ _TABLES = {
 }
 
 
-def _config(args, command: str) -> tuple[dict, dict]:
-    """The config file of ``args`` with each flag given laid over its key, and the values walked from it.
+def _config(args, command: str) -> dict:
+    """The values walked from the config file of ``args`` with each flag given laid over its key.
 
-    A flag replaces the file's value, which is not read.
+    A flag replaces the file's value, which is not read. The walked values,
+    every default filled, are also the output's "config": they run as given.
     """
     cfg = _load_json(args.config)
     if isinstance(cfg, dict):
@@ -206,7 +204,8 @@ def _config(args, command: str) -> tuple[dict, dict]:
         if isinstance(cfg.get("kernel"), dict):
             flags = {"lambda": args.lam, "sigma": args.sigma}
             cfg["kernel"] = {**cfg["kernel"], **{key: value for key, value in flags.items() if value is not None}}
-    return cfg, _walk(cfg, _TABLES[command], f"{command} config")
+    with _config_phase():
+        return _walk(cfg, _TABLES[command], f"{command} config")
 
 
 def _corner_in(coords, dim: int) -> Corner:
@@ -217,7 +216,7 @@ def _corner_in(coords, dim: int) -> Corner:
 
 
 def _kernel_params(vals: dict) -> KernelParams:
-    params = KernelParams(vals["kernel"]["lambda"], vals["kernel"]["sigma"], MeasureSpec.from_json(vals["measure"]))
+    params = KernelParams(vals["kernel"]["lambda"], vals["kernel"]["sigma"], MeasureSpec(**vals["measure"]))
     params.measure.check_dim(vals["dimension"])
     return params
 
@@ -264,7 +263,7 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    cfg, vals = _config(args, "kernel")
+    vals = _config(args, "kernel")
     op, dim = vals["op"], vals["dimension"]
     with _config_phase():
         params = _kernel_params(vals)
@@ -278,43 +277,36 @@ def _cmd_kernel(args) -> int:
     else:
         tp = transition_params(params, Increment(a, b))
         results = [{"op": op, **tp.to_json()}]
-    resolved = {**cfg, "kernel": params.to_json()}
-    _write_json(args.json, {"config": resolved, "results": results})
+    _write_json(args.json, {"config": vals, "results": results})
     return 0
 
 
 def _cmd_sample(args) -> int:
-    cfg, vals = _config(args, "sample")
-    replicates = vals["replicates"]
+    vals = _config(args, "sample")
     with _config_phase():
         params = _kernel_params(vals)
         corners = [_corner_in(row, vals["dimension"]) for row in vals["corners"]]
-        initial = (InitialLaw.normal(0.0, params.stationary_variance) if vals["initial"] is None
-                   else InitialLaw.from_json(vals["initial"]))
+        if vals["initial"] is None:
+            vals["initial"] = {"kind": "normal", "mu": 0.0, "var": params.stationary_variance}
+        law = dict(vals["initial"])
+        initial = getattr(InitialLaw, law.pop("kind"))(**law)
         seed = RngSeed(**vals["seed"])
     if not corners:
         raise ConfigError("sample config needs a nonempty corners list")
     pl = plan(corners)
-    path = simulate(pl, params, initial, replicates, seed)
+    path = simulate(pl, params, initial, vals["replicates"], seed)
     labels = [_corner_label(c.coords) for c in path.corners]
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(labels)
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in _rows(path.values))
     transitions = [{"index": step.index, **tp.to_json()} for step, tp in zip(pl.steps, path.transitions)]
-    resolved = {
-        **cfg,
-        "kernel": params.to_json(),
-        "initial": initial.to_json(),
-        "replicates": replicates,
-        "seed": seed.to_json(),
-    }
-    payload = {"config": resolved, "results": [{"plan": pl.to_json(), "transitions": transitions}]}
+    payload = {"config": vals, "results": [{"plan": pl.to_json(), "transitions": transitions}]}
     _write_json(args.json, payload)
     return 0
 
 
 def _cmd_sheet(args) -> int:
-    cfg, vals = _config(args, "sheet")
+    vals = _config(args, "sheet")
     alpha, mode, y0, replicates = vals["alpha"], vals["mode"], vals["y0"], vals["replicates"]
     with _config_phase():
         grid = GridSpec(**vals["grid"])
@@ -337,8 +329,6 @@ def _cmd_sheet(args) -> int:
                       for label, v in zip(labels, row))
     emp_mean = values.mean(axis=0)
     emp_cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
-    resolved = {**cfg, "mode": mode, "y0": y0, "replicates": replicates, "seed": seed.to_json(),
-                "grid": grid.to_json()}
     results = [{
         "points": [p.to_json() for p in points],
         "empirical_mean": [float(v) for v in emp_mean],
@@ -347,7 +337,7 @@ def _cmd_sheet(args) -> int:
         "theory_cov": [[float(v) for v in row] for row in theory.cov],
         "matched_kernel": eq.to_json(),
     }]
-    _write_json(args.json, {"config": resolved, "results": results})
+    _write_json(args.json, {"config": vals, "results": results})
     return 0
 
 

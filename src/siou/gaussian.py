@@ -66,6 +66,14 @@ class RngSeed:
         return {"seed": self.seed, "stream": self.stream}
 
 
+def _empty(shape) -> np.ndarray:
+    """``np.empty(shape)``; a shape past numpy's size limit raises MemoryError, like one past memory."""
+    try:
+        return np.empty(shape)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded" or "array is too big"
+        raise MemoryError(f"cannot allocate an array of shape {shape}: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianSpec:
     """Mean vector and covariance matrix of a finite-dimensional Gaussian."""
@@ -185,7 +193,7 @@ def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
         raise ValueError(f"need a nonnegative draw count, got {n}")
     L, _ = factorize(spec.cov)
     gen = seed.generator()
-    out = np.empty((n, spec.dim))
+    out = _empty((n, spec.dim))
     z = np.empty((min(n, SAMPLE_BLOCK_ROWS), spec.dim))
     for start in range(0, n, SAMPLE_BLOCK_ROWS):
         fresh = min(len(z), n - start)

@@ -67,16 +67,6 @@ class MeasureSpec:
             return {"kind": "axis", "alpha": list(self.alpha)}
         return {"kind": "lebesgue"}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MeasureSpec":
-        if not isinstance(data, dict):
-            raise InvalidGeometryError(f"a measure must be a JSON object, got {data!r}")
-        if data.get("kind") == "axis":
-            return cls.axis(data["alpha"])
-        if data.get("kind") == "lebesgue":
-            return cls.lebesgue()
-        raise InvalidGeometryError(f"unknown measure kind {data.get('kind')!r}")
-
 
 def measure_rect(spec: MeasureSpec, t: Corner) -> float:
     """Measure of the rectangle [0, t]."""

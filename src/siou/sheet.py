@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InvalidGridError, OutOfRangeError
-from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, factorize
+from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, _empty, factorize
 from .geometry import GEOM_ATOL, Corner
 from .kernel import KernelParams
 from .measures import MeasureSpec
@@ -61,6 +61,15 @@ __all__ = [
     "batch_paths",
 ]
 
+
+def _cell_count(s) -> int:
+    """An axis's cell count: an int or an integral float, never a bool, so 10.7 or true is an error."""
+    if isinstance(s, bool) or not (isinstance(s, (int, np.integer))
+                                   or isinstance(s, (float, np.floating)) and float(s).is_integer()):
+        raise InvalidGridError(f"cell counts must be integers, got {s!r}")
+    return int(s)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform rectangular grid over [lower, upper] with the given cell counts."""
@@ -72,11 +81,7 @@ class GridSpec:
     def __post_init__(self):
         lower = tuple(float(v) for v in self.lower)
         upper = tuple(float(v) for v in self.upper)
-        for s in self.steps:
-            if isinstance(s, bool) or not (isinstance(s, (int, np.integer))
-                                           or isinstance(s, (float, np.floating)) and float(s).is_integer()):
-                raise InvalidGridError(f"cell counts must be integers, got {s!r}")
-        steps = tuple(int(s) for s in self.steps)
+        steps = tuple(_cell_count(s) for s in self.steps)
         if not (len(lower) == len(upper) == len(steps)) or not lower:
             raise InvalidGridError("lower, upper and steps must share a positive length")
         for lo, up, s in zip(lower, upper, steps):
@@ -105,9 +110,6 @@ class GridSpec:
     @property
     def ncells(self) -> int:
         return math.prod(self.steps)
-
-    def to_json(self) -> dict:
-        return {"lower": list(self.lower), "upper": list(self.upper), "steps": list(self.steps)}
 
 
 @lru_cache(maxsize=8)
@@ -275,7 +277,7 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
         raise ConfigError("a sheet needs at least one point")
     drift, Gt = _sheet_factor(spec, alpha, sigma, points, y0, stationary)
     gen = seed.generator()
-    out = np.empty((replicates, Gt.shape[0]))
+    out = _empty((replicates, Gt.shape[0]))
     for start in range(0, replicates, SAMPLE_BLOCK_ROWS):
         rows = out[start : start + SAMPLE_BLOCK_ROWS]
         z = gen.standard_normal((len(rows), Gt.shape[1]))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PlanningError
-from .gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, sample
+from .gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, _empty, sample
 from .geometry import Corner, Frontier, Increment, _as_rows, _group, _maxima, _snap, _union, frontier, min_closure
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
@@ -112,26 +112,6 @@ class InitialLaw:
             return mu + math.sqrt(var) * gen.standard_normal(n)
         values = np.asarray(self.params)
         return values[gen.integers(0, len(values), size=n)]
-
-    def to_json(self) -> dict:
-        if self.kind == "dirac":
-            return {"kind": "dirac", "x0": self.params[0]}
-        if self.kind == "normal":
-            return {"kind": "normal", "mu": self.params[0], "var": self.params[1]}
-        return {"kind": "empirical", "values": list(self.params)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "InitialLaw":
-        if not isinstance(data, dict):
-            raise ConfigError(f"an initial law must be a JSON object, got {data!r}")
-        kind = data.get("kind")
-        if kind == "dirac":
-            return cls.dirac(data["x0"])
-        if kind == "normal":
-            return cls.normal(data["mu"], data["var"])
-        if kind == "empirical":
-            return cls.empirical(data["values"])
-        raise ConfigError(f"unknown initial law kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +234,7 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
     transitions = tuple(transition_params(params, step.increment) for step in pl.steps)
     gen = seed.generator()
     n = replicates
-    values = np.empty((n, len(pl.corners)))
+    values = _empty((n, len(pl.corners)))
     starts = range(0, n, SAMPLE_BLOCK_ROWS)
     for start in starts:
         values[start : start + SAMPLE_BLOCK_ROWS, 0] = initial.draw(gen, min(n - start, SAMPLE_BLOCK_ROWS))

@@ -370,11 +370,14 @@ def test_malformed_input_is_a_configuration_error(tmp_path, capsys, argv):
      "cell counts must be integers, got True"),
     ("sample", sample_config, {"seed": {"seed": 2.7, "stream": 1.5}}, "seed must be an integer, got 2.7"),
     ("sample", sample_config, {"seed": {"seed": 2, "stream": 1.5}}, "stream must be an integer, got 1.5"),
-    ("sample", sample_config, {"seed": {"stream": 3}}, "missing config entry 'seed'"),
+    ("sample", sample_config, {"seed": {"stream": 3}}, "missing config entry 'seed.seed'"),
     ("sheet", sheet_config, {"seed": True}, "seed must be an integer, got True"),
     ("sample", sample_config, {"dimension": 2.5}, "dimension must be an integer, got 2.5"),
+    ("sample", sample_config, {"initial": {"kind": "dirac"}}, "missing config entry 'initial.x0'"),
+    ("sheet", sheet_config, {"grid": {"lower": [-6.0], "upper": [1.0]}}, "missing config entry 'grid.steps'"),
 ], ids=["fractional_replicates", "fractional_sheet_replicates", "fractional_steps", "boolean_steps",
-        "fractional_seed", "fractional_stream", "stream_without_seed", "boolean_seed", "fractional_dimension"])
+        "fractional_seed", "fractional_stream", "stream_without_seed", "boolean_seed", "fractional_dimension",
+        "dirac_without_x0", "grid_without_steps"])
 def test_config_integers_are_not_truncated(tmp_path, capsys, command, make_config, extra, message):
     code, _, err = run_cli([command, "--config", make_config(tmp_path, **extra), *_outputs(tmp_path)], capsys)
     assert code == 2
@@ -463,24 +466,33 @@ def test_unknown_config_keys_are_configuration_errors(tmp_path, capsys, command,
 
 
 def test_integral_float_config_values_give_the_integer_bytes(tmp_path, capsys):
-    outs = []
-    for tag, extra in (("int", {}), ("float", {"replicates": 50.0, "seed": {"seed": 11.0, "stream": 0.0}})):
-        csv_path, json_path = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
-        code, _, _ = run_cli(["sample", "--config", sample_config(tmp_path, **extra), "--csv", str(csv_path),
-                              "--json", str(json_path)], capsys)
-        assert code == 0
-        outs.append(csv_path.read_bytes() + json_path.read_bytes())
-    assert outs[0] == outs[1]
+    grid = {"lower": [-6.0], "upper": [1.0]}
+    for command, make_config, ints, floats in (
+        ("sample", sample_config, {}, {"replicates": 50.0, "seed": {"seed": 11.0, "stream": 0.0}}),
+        ("sheet", sheet_config, {"grid": {**grid, "steps": [140]}, "replicates": 150},
+         {"grid": {**grid, "steps": [140.0]}, "replicates": 150.0}),
+    ):
+        outs = []
+        for tag, extra in (("int", ints), ("float", floats)):
+            csv_path, json_path = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            code, _, _ = run_cli([command, "--config", make_config(tmp_path, **extra), "--csv", str(csv_path),
+                                  "--json", str(json_path)], capsys)
+            assert code == 0
+            outs.append(csv_path.read_bytes() + json_path.read_bytes())
+        assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("command, make_config", [("sample", sample_config), ("sheet", sheet_config)])
 def test_unallocatable_output_is_one_error_line(tmp_path, capsys, command, make_config):
-    # 10^14 replicates ask for petabytes: numpy refuses before anything is drawn.
-    cfg = make_config(tmp_path, replicates=10**14)
-    code, _, err = run_cli([command, "--config", cfg, *_outputs(tmp_path)], capsys)
-    assert code == 1
-    assert err.startswith("error: MemoryError: ")
-    assert err.count("\n") == 1
+    # 10^14 replicates ask for petabytes and 1e20 more rows than numpy's dimension limit:
+    # numpy refuses either before anything is drawn.
+    for replicates in (10**14, 1e20):
+        cfg = make_config(tmp_path, replicates=replicates)
+        code, _, err = run_cli([command, "--config", cfg, *_outputs(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("error: MemoryError: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
 def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
@@ -562,7 +574,7 @@ GOLDEN_SAMPLE = {
             "seed": 11,
         },
         "cb02c62f43f44e6893f436d389b833e8a6231821c931dd8aef56bf9533326593",
-        "5541cc80b0a7ade8a2fc5de706e058a638ab586f3c4b26fb3284aaec7c722541",
+        "e74d5cb30de3e968128ed50b6ea36ec676b2a933cc4b4538b06124271a05caf4",
     ),
     "axis_3d_normal": (
         {
@@ -575,7 +587,7 @@ GOLDEN_SAMPLE = {
             "seed": {"seed": 5, "stream": 2},
         },
         "15bbb9a42c1e75baa3b4d06e32dbce6ba818f9a298a9bcb0dc9f0a2a33197e06",
-        "e1309c1cc5c972bbfb9a7bebe82ca057e4211fef6e87371864f7b33a730f0e31",
+        "d63679c5a84e31854a4e53eed68d97d568c83411d09acaa232d796fccca0ec8f",
     ),
     # The 12 x 12 quarter grid: a 145-corner plan whose frontiers all come from the fold.
     "lebesgue_2d_quarter_grid": (
@@ -587,7 +599,7 @@ GOLDEN_SAMPLE = {
             "seed": 23,
         },
         "7b8469c2bfd0c843459f225f07dfd54a3aa9941e9a4cba54e711776a150789a2",
-        "b65ce791541dab04cbda37ffbff137f67a4f35246b3f3fa53d8128b68b110961",
+        "3bcf4a6eb57cdfad96bf311fad8d9ccf4762947530d5ac14c4dbf76f275ee9cd",
     ),
 }
 

@@ -174,12 +174,6 @@ def test_union_complexity_guard():
     assert measure_union(LEB, many) == pytest.approx(staircase, rel=1e-12)
 
 
-def test_measure_spec_json_round_trip():
-    for spec in (LEB, MeasureSpec.axis((1.0, 0.5))):
-        again = MeasureSpec.from_json(spec.to_json())
-        assert again == spec
-
-
 def test_large_coordinates_stay_finite():
     u = union_of((1e8, 2e8), (2e8, 1e8))
     assert math.isfinite(measure_union(LEB, u))

@@ -226,7 +226,7 @@ def test_steep_alpha_dirac_paths_stay_finite():
         assert math.isfinite(want)
         assert abs(rows[r, 0] - want) <= 1e-10 * (1.0 + abs(want))
     # Stationary, the cells centered below 0.04 carry weights that underflow to 0:
-    # they form no region, so each replicate still draws one normal.
+    # the point's column of the factor is still nonzero, so each replicate draws one normal.
     seed = _CountingSeed(RngSeed(1))
     rows = batch_paths(spec, alpha, 1.0, [pt], 3, seed, stationary=True)
     _, W, _ = _cell_weights(spec, alpha, 1.0, [pt], stationary=True)
@@ -235,7 +235,8 @@ def test_steep_alpha_dirac_paths_stay_finite():
 
 
 def test_sigma_whose_square_overflows_keeps_finite_paths():
-    # sigma^2 overflows float64, so the region weights must not square raw cell weights.
+    # sigma^2 overflows float64, so the factor must not square raw cell weights:
+    # it divides each point's column by its peak before the Gram and scales back after.
     pts = [(0.25, 0.5), (1.0, 1.0)]
     unit = batch_paths(GRID_2D, (1.0, 2.0), 1.0, pts, 70, RngSeed(19), stationary=True)
     huge = batch_paths(GRID_2D, (1.0, 2.0), 1e200, pts, 70, RngSeed(19), stationary=True)
@@ -469,8 +470,3 @@ def test_mpou_variance_grows_from_zero():
         want = sv * (1.0 - math.exp(-2.0 * t))
         se = math.sqrt(2.0 / n) * sv
         assert abs(v - want) <= 5 * se + 2 * step * sv
-
-
-def test_grid_json_round_trip():
-    g = GridSpec((-2.0, -1.0), (2.0, 1.0), (8, 4))
-    assert g.to_json() == {"lower": [-2.0, -1.0], "upper": [2.0, 1.0], "steps": [8, 4]}

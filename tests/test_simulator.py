@@ -317,11 +317,6 @@ def test_initial_law_variants():
         InitialLaw.empirical([])
 
 
-def test_initial_law_json_round_trip():
-    for law in (InitialLaw.dirac(0.5), InitialLaw.normal(1.0, 2.0), InitialLaw.empirical([1.0, 4.0])):
-        assert InitialLaw.from_json(law.to_json()) == law
-
-
 def test_simulate_is_reproducible():
     pl = plan(FAMILY)
     a = simulate(pl, P, InitialLaw.dirac(0.7), 64, RngSeed(3))
