@@ -347,8 +347,8 @@ def _cmd_verify(args) -> int:
     reports = run_suite(args.suite, seed)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
-        print(f"{status} {rep.name} statistic={rep.statistic:.6e} tolerance={rep.tolerance:.6e}",
-              file=sys.stderr)
+        print(f"{status} {rep.name} statistic={rep.statistic:.6e} tolerance={rep.tolerance:.6e} "
+              f"seconds={rep.seconds:.4f}", file=sys.stderr)
     all_passed = all(rep.passed for rep in reports)
     payload = {
         "config": {"suite": args.suite, "seed": seed.to_json()},

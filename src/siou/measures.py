@@ -87,6 +87,11 @@ def measure_rows(spec: MeasureSpec, rows) -> np.ndarray:
     """
     rows = _as_rows(rows)
     spec.check_dim(rows.shape[-1])
+    return _measure_array(spec, rows)
+
+
+def _measure_array(spec: MeasureSpec, rows: np.ndarray) -> np.ndarray:
+    """:func:`measure_rows` of a float array whose last axis the measure fits, unchecked."""
     if spec.kind == "lebesgue":
         return functools.reduce(np.multiply, [rows[..., i] for i in range(rows.shape[-1])])
     return functools.reduce(np.add, [a * rows[..., i] for i, a in enumerate(spec.alpha)])
@@ -115,8 +120,8 @@ def measure_union(spec: MeasureSpec, u: UnionSet) -> float:
     if not u.corners:
         return 0.0
     spec.check_dim(u.dim)
-    meets, nets = _signed_meets(_as_rows(u.corners))
-    total = float(nets @ measure_rows(spec, meets))
+    meets, nets = zip(*_signed_meets(u.corners))
+    total = float(np.array(nets, dtype=np.int64) @ measure_rows(spec, np.array(meets)))
     return float(_clamp_residue(total, "union measure"))
 
 
@@ -126,12 +131,17 @@ def measure_symdiff(spec: MeasureSpec, u: Corner, v: Corner) -> float:
 
 
 def measure_symdiffs(spec: MeasureSpec, a, b) -> np.ndarray:
-    """Matrix of symmetric-difference measures between the corners in ``a`` and in ``b``, meets broadcast."""
-    a, b = _as_rows(a), _as_rows(b)
+    """Matrix of symmetric-difference measures between the corners in ``a`` and in ``b``, meets broadcast.
+
+    A ``b`` that is ``a`` itself is converted and measured once.
+    """
+    same, a = b is a, _as_rows(a)
+    b = a if same else _as_rows(b)
     if a.shape[-1] != b.shape[-1]:
         raise InvalidGeometryError(f"mixed dimensions {a.shape[-1]} and {b.shape[-1]}; the dimension is fixed per session")
-    meets = np.minimum(a[:, None, :], b[None, :, :])
-    total = measure_rows(spec, a)[:, None] + measure_rows(spec, b)[None, :] - 2.0 * measure_rows(spec, meets)
+    m_a = measure_rows(spec, a)
+    m_b = m_a if same else _measure_array(spec, b)
+    total = m_a[:, None] + m_b[None, :] - 2.0 * _measure_array(spec, np.minimum(a[:, None, :], b[None, :, :]))
     return _clamp_residue(total, "symmetric difference")
 
 
@@ -143,8 +153,10 @@ def measure_diff(spec: MeasureSpec, a: Corner, b: UnionSet) -> float:
 
 def _clamp_residue(value, what: str):
     # Elementwise on arrays: non-finite values raise, roundoff negatives clamp to 0, real negatives raise.
-    if not np.all(np.isfinite(value)):
-        raise InvalidGeometryError(f"{what} came out {np.min(value)}: a rectangle's measure overflows float64")
-    if not np.all(value >= NEGATIVE_RESIDUE_FLOOR):
-        raise InternalConsistencyError(f"{what} came out {np.min(value)}, far below zero")
+    value = np.asarray(value)
+    if not (value.min() >= 0.0 and value.max() < math.inf):  # the common case in one min and one max
+        if not np.all(np.isfinite(value)):
+            raise InvalidGeometryError(f"{what} came out {np.min(value)}: a rectangle's measure overflows float64")
+        if not np.all(value >= NEGATIVE_RESIDUE_FLOOR):
+            raise InternalConsistencyError(f"{what} came out {np.min(value)}, far below zero")
     return np.maximum(value, 0.0)

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -91,6 +92,7 @@ class CheckReport:
     statistic: float
     tolerance: float
     details: str = ""
+    seconds: float = field(default=0.0, compare=False)  # wall time in run_suite; not compared, not in to_json
 
     def __post_init__(self):
         if self.passed != (self.statistic <= self.tolerance):
@@ -626,9 +628,9 @@ def run_suite(which: str, seed: RngSeed, cov_fn: CovFn = cov_matrix) -> list[Che
 
     ``which`` is "deterministic", "mc" or "all"; ``cov_fn`` replaces the
     covariance of the deterministic checks. Each report is named by its
-    check's label. A check that raises a package error or a LinAlgError
-    becomes a failing report under its label, so one broken route does
-    not hide the others.
+    check's label and carries the seconds the check took. A check that
+    raises a package error or a LinAlgError becomes a failing report under
+    its label, so one broken route does not hide the others.
     """
     checks: list[LabelledCheck] = []
     if which in ("deterministic", "all"):
@@ -639,10 +641,12 @@ def run_suite(which: str, seed: RngSeed, cov_fn: CovFn = cov_matrix) -> list[Che
         raise ConfigError(f"unknown suite {which!r}; pick deterministic, mc or all")
     reports = []
     for label, thunk in checks:
+        start = time.perf_counter()
         try:
-            reports.append(replace(thunk(), name=label))
+            report = thunk()
         except (SiouError, np.linalg.LinAlgError) as exc:
-            reports.append(CheckReport.make(label, BIG_STATISTIC, 0.0, f"errored {type(exc).__name__}: {exc}"))
+            report = CheckReport.make(label, BIG_STATISTIC, 0.0, f"errored {type(exc).__name__}: {exc}")
+        reports.append(replace(report, name=label, seconds=time.perf_counter() - start))
     return reports
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -315,6 +316,15 @@ def test_verify_report_matches_golden_digest(tmp_path, capsys):
     code, _, _ = run_cli(["verify", "--suite", "deterministic", "--seed", "7", "--json", str(json_path)], capsys)
     assert code == 0
     assert hashlib.sha256(json_path.read_bytes()).hexdigest() == GOLDEN_VERIFY_DETERMINISTIC
+
+
+def test_verify_stderr_lines_end_in_the_check_seconds(capsys):
+    code, out, err = run_cli(["verify", "--suite", "mc", "--seed", "5"], capsys)
+    assert code == 0
+    lines = [line for line in err.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert len(lines) == len(json.loads(out)["results"]) == 6
+    assert all(re.fullmatch(r"PASS \S+ statistic=\S+ tolerance=\S+ seconds=\d+\.\d{4}", line) for line in lines)
+    assert "seconds" not in out
 
 
 def test_verify_requires_seed():

@@ -1,6 +1,7 @@
 """Corner arithmetic, canonical unions, min-closures and signed frontiers."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siou import geometry
-from siou.errors import ComplexityError, InvalidGeometryError
+from siou.errors import ComplexityError, InvalidGeometryError, SiouError
 from siou.geometry import (
     Corner,
     Frontier,
@@ -379,3 +380,66 @@ def test_json_round_trip():
     fr = frontier(Increment(Corner((2.0, 2.0)), canonicalize(corners((1, 2), (2, 1)))))
     blob = fr.to_json()
     assert {(tuple(e["corner"]), e["sign"]) for e in blob} == frontier_set(fr)
+
+
+# The tuple path (families of up to SMALL_FAMILY corners) against the array
+# path, which every family takes while SMALL_FAMILY is patched below 0.
+
+def _bits(cs):
+    return [tuple(x.hex() for x in c.coords) for c in cs]
+
+
+@st.composite
+def path_families(draw):
+    """(a, corners): dimensions 1-4, up to SMALL_FAMILY + 4 corners, so canonical sizes straddle it.
+
+    Three in four families are one level of the quarter grid, an antichain
+    whose meets tie (nets of +-2 in 3-D and 4-D); the others lie anywhere on it,
+    so some corners are dominated or repeated. A coordinate may move by less
+    than GEOM_ATOL (the snap), a zero may be -0.0, ``a`` may clip the family,
+    and one corner or ``a`` may have another dimension.
+    """
+    dim = draw(st.sampled_from((1, 2, 2, 3, 3, 4, 4)))  # 1-D unions have one corner
+    m = (12, 12, 4, 3)[dim - 1]
+    top = Corner((0.25 * m + 0.5,) * dim)
+    k = draw(st.sampled_from(range(geometry.SMALL_FAMILY + 5)))
+    if draw(st.integers(0, 3)):
+        total = dim * (m + 1) // 2 + draw(st.integers(0, 1))
+        level = [q for q in itertools.product(range(1, m + 1), repeat=dim) if sum(q) == total]
+        qs = draw(st.lists(st.sampled_from(level), min_size=min(k, len(level)), max_size=k, unique=True))
+    else:
+        qs = draw(st.lists(st.tuples(*[st.integers(0, m)] * dim), min_size=k, max_size=k))
+    shift = st.sampled_from((0.0,) * 9 + (3e-13, -4e-13, 9e-13) if draw(st.booleans()) else (0.0,))
+
+    def coord(q):
+        return -0.0 if q == 0 and draw(st.booleans()) else max(0.25 * q + draw(shift), 0.0)
+
+    fam = [Corner(tuple(coord(x) for x in q)) for q in qs]
+    a = top if draw(st.integers(0, 2)) else Corner(tuple(0.25 * x for x in draw(st.tuples(*[st.integers(1, m)] * dim))))
+    odd = draw(st.sampled_from(("none",) * 8 + ("corner", "a")))
+    if odd == "corner" and fam:
+        fam[draw(st.integers(0, len(fam) - 1))] = Corner((1.0,) * (dim % 4 + 1))
+    elif odd == "a":
+        a = Corner((1.75,) * (dim % 4 + 1))
+    return a, fam
+
+
+def _path_outputs(a, fam):
+    """canonicalize corners, clipped b, frontier entries and union measures, as bits; or the error raised."""
+    try:
+        u = geometry.canonicalize(fam)
+        inc = Increment(a, u)
+        entries = [(_bits([c])[0], n) for c, n in geometry.frontier(inc).entries]
+        specs = (MeasureSpec.lebesgue(), MeasureSpec.axis(tuple(0.5 + i for i in range(a.dim))))
+        return _bits(u.corners), _bits(inc.b.corners), entries, [measure_union(m, u).hex() for m in specs]
+    except SiouError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_families())
+def test_tuple_path_matches_array_path(case):
+    got = _path_outputs(*case)
+    with mock.patch.object(geometry, "SMALL_FAMILY", -1):
+        want = _path_outputs(*case)
+    assert got == want

@@ -1,0 +1,77 @@
+"""Named mutants of the geometry, each of which a named check must catch.
+
+A mutant is one function's source with one plausible bug edited in. It is
+compiled against its module's globals and patched over every module
+attribute that holds the original, so callers that imported the function by
+name see it too. Each mutant names the checks that must fail under it; a
+property test runs with a fixed, derandomized example budget and no
+shrinking, so its verdict is the same on every run.
+"""
+
+import inspect
+import sys
+import types
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import Phase, given, settings
+
+from siou import geometry
+from test_geometry import path_families
+from test_geometry import test_tuple_path_matches_array_path as tuple_property
+
+PROPERTY_BUDGET = settings(max_examples=200, derandomize=True, database=None, deadline=None,
+                           phases=(Phase.explicit, Phase.generate))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: types.ModuleType
+    function: str
+    old: str
+    new: str
+    checks: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("zero_nets_kept", geometry, "_signed_meets", "sorted(item for item in nets.items() if item[1])",
+           "sorted(nets.items())", ("test_tuple_path_matches_array_path",)),
+    Mutant("max_for_meets", geometry, "_signed_meets", "tuple(map(min, c, r))", "tuple(map(max, c, r))",
+           ("test_tuple_path_matches_array_path",)),
+    Mutant("dominated_rows_kept", geometry, "canonicalize",
+           "sorted(r for r in rows if not any(r != s and all(map(operator.le, r, s)) for s in rows))",
+           "sorted(rows)", ("test_tuple_path_matches_array_path",)),
+)
+
+CHECKS = {
+    "test_tuple_path_matches_array_path":
+        lambda: PROPERTY_BUDGET(given(path_families())(tuple_property.hypothesis.inner_test))(),
+}
+
+
+def _mutated(mutant: Mutant):
+    original = getattr(mutant.module, mutant.function)
+    source = inspect.getsource(original)
+    assert source.count(mutant.old) == 1, f"{mutant.name}: the edited line is no longer in {mutant.function}"
+    scratch = dict(vars(mutant.module))
+    exec(compile(source.replace(mutant.old, mutant.new), f"<mutant {mutant.name}>", "exec"), scratch)
+    fn = scratch[mutant.function]
+    return original, types.FunctionType(fn.__code__, vars(mutant.module), fn.__name__, fn.__defaults__)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_every_named_check_catches_the_mutant(mutant, monkeypatch):
+    original, bad = _mutated(mutant)
+    for module in [m for name, m in sys.modules.items() if name.startswith("siou.")]:
+        if getattr(module, mutant.function, None) is original:
+            monkeypatch.setattr(module, mutant.function, bad)
+    for check in mutant.checks:
+        with pytest.raises(AssertionError) as caught:
+            CHECKS[check]()
+        print(f"{mutant.name}: {check} failed with {caught.typename}: {str(caught.value).splitlines()[0]}")
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_every_named_check_passes_without_a_mutant(check):
+    CHECKS[check]()

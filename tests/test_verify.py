@@ -53,6 +53,14 @@ def test_report_construction_and_clamping():
     assert j["name"] == "x" and j["passed"] is True
 
 
+def test_report_seconds_stay_out_of_equality_and_json():
+    reports = run_suite("mc", RngSeed(5))
+    assert all(r.seconds > 0.0 for r in reports)
+    for r in reports:
+        assert replace(r, seconds=0.0) == r
+        assert "seconds" not in r.to_json()
+
+
 def test_flow_spec_validation():
     with pytest.raises(ConfigError):
         FlowSpec((Corner((0.0,)),))  # needs two waypoints
