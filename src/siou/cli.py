@@ -11,8 +11,8 @@ takes one, with flags laid over the file's values; one table per subcommand
 config against it. Commands build from the walked values, every default
 filled, and echo them as the JSON output's "config" beside its "results",
 so a config block runs again as given; reruns are byte-identical. Exit
-codes: 0 success, 1 failed checks, numerical errors or outputs too large
-to allocate, 2 usage or configuration errors.
+codes: 0 success, 1 failed checks, numerical errors, outputs too large
+to allocate or outputs that cannot be written, 2 usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -21,14 +21,16 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _csvpart
 from .errors import ConfigError, SiouError
-from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed
+from .gaussian import RngSeed
 from .geometry import Corner, Increment, canonicalize, frontier
 from .kernel import KernelParams, cov_dirac, cov_stationary, mean_dirac, transition_params
 from .measures import MeasureSpec
@@ -37,6 +39,8 @@ from .simulator import InitialLaw, plan, simulate
 from .verify import run_suite, theory_dirac, theory_stationary
 
 __all__ = ["main"]
+MIN_PART_VALUES = 2**18  # the fewest CSV values worth a helper process: about 0.2 s of repr
+_HELPER = [sys.executable, "-I", "-S", _csvpart.__file__]  # stdlib only, isolated from the environment
 
 
 @contextmanager
@@ -234,17 +238,42 @@ def _corner_label(coords) -> str:
     return ",".join(repr(float(c)) for c in coords)
 
 
-def _rows(values: np.ndarray):
-    """Rows of a 2-D array as lists of floats, converted ``SAMPLE_BLOCK_ROWS`` rows at a time to bound memory."""
-    for start in range(0, len(values), SAMPLE_BLOCK_ROWS):
-        yield from values[start : start + SAMPLE_BLOCK_ROWS].tolist()
-
-
 def _csv_field(text: str) -> str:
     """``text`` as csv.writer writes one field, quoted if it needs to be."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([text])
     return buf.getvalue()
+
+
+def _write_csv(path: str, header: list[str], values: np.ndarray, row: str) -> None:
+    """Write the ``header`` fields and the rows of 2-D ``values`` by ``_csvpart.write_rows`` with ``row``.
+
+    Parts after the first, at most one per CPU of ``MIN_PART_VALUES`` or more, go to helpers; none outlives the call.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    nrows, ncols = values.shape
+    parts = max(1, min(cpus, values.size // MIN_PART_VALUES))
+    bounds = [nrows * k // parts for k in range(parts + 1)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_csv_field, header)) + "\r\n").encode("utf-8"))
+        if parts == 1:
+            return _csvpart.write_rows(fh, values.ravel(), ncols, row)
+        import pathlib, shutil, subprocess, tempfile  # only a split CSV uses them
+        with tempfile.TemporaryDirectory() as tmp, ExitStack() as helpers:
+            pathlib.Path(tmp, "row").write_bytes(row.encode("utf-8"))
+            procs = []
+            for k in range(1, parts):
+                values[bounds[k] : bounds[k + 1]].tofile(f"{tmp}/{k}.f64")
+                procs.append(helpers.enter_context(
+                    subprocess.Popen([*_HELPER, tmp, str(k), str(ncols), str(bounds[k])], stderr=subprocess.PIPE)))
+                helpers.callback(procs[-1].kill)  # runs first on exit; a no-op for a helper already done
+            _csvpart.write_rows(fh, values[: bounds[1]].ravel(), ncols, row)
+            for k, proc in enumerate(procs, 1):
+                err = proc.communicate()[1].decode("utf-8", "replace").strip().splitlines() or ["no message"]
+                if proc.returncode:
+                    raise OSError(f"CSV helper exited with {proc.returncode}: {err[-1]}")
+                with open(f"{tmp}/{k}.csv", "rb") as part:
+                    shutil.copyfileobj(part, fh)
 
 
 def _cmd_frontier(args) -> int:
@@ -296,9 +325,7 @@ def _cmd_sample(args) -> int:
     pl = plan(corners)
     path = simulate(pl, params, initial, vals["replicates"], seed)
     labels = [_corner_label(c.coords) for c in path.corners]
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(labels)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in _rows(path.values))
+    _write_csv(args.csv, labels, path.values, ",".join(["{{!r}}"] * len(labels)) + "\r\n")
     transitions = [{"index": step.index, **tp.to_json()} for step, tp in zip(pl.steps, path.transitions)]
     payload = {"config": vals, "results": [{"plan": pl.to_json(), "transitions": transitions}]}
     _write_json(args.json, payload)
@@ -322,11 +349,9 @@ def _cmd_sheet(args) -> int:
                          y0=y0, stationary=(mode == "stationary"))
     eq = equivalent_kernel_params(alpha, sigma)
     theory = theory_stationary(eq, points) if mode == "stationary" else theory_dirac(eq, points, y0)
-    labels = [_csv_field(_corner_label(p.coords)) for p in points]
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["replicate", "t", "value"])
-        fh.writelines(f"{r},{label},{v!r}\r\n" for r, row in enumerate(_rows(values))
-                      for label, v in zip(labels, row))
+    labels = (_csv_field(_corner_label(p.coords)).replace("{", "{{{{").replace("}", "}}}}") for p in points)
+    row = "".join(f"{{0}},{label},{{{{!r}}}}\r\n" for label in labels)
+    _write_csv(args.csv, ["replicate", "t", "value"], values, row)
     emp_mean = values.mean(axis=0)
     emp_cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
     results = [{
@@ -416,9 +441,9 @@ def main(argv=None) -> int:
     except SiouError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
-        # numpy raises a private subclass for arrays it cannot allocate.
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
+    except (MemoryError, OSError) as exc:
+        # numpy raises a private subclass for arrays it cannot allocate; an OSError is an output not written.
+        print(f"error: {'OSError' if isinstance(exc, OSError) else 'MemoryError'}: {exc}", file=sys.stderr)
         return 1
 
 

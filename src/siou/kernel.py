@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateKernelError, InvalidGeometryError, KernelInconsistencyError
-from .geometry import Corner, Increment, frontier
+from .geometry import Corner, Increment, _as_rows, frontier
 from .measures import MeasureSpec, measure_gap, measure_rows, measure_symdiffs
 
 # A computed transition variance below this is a broken formula, not roundoff.
@@ -117,13 +117,14 @@ def cov_matrix(params: KernelParams, A, B=None, v0: float | None = None) -> np.n
     B defaults to A. ``v0`` is the origin variance: None for the stationary
     field, 0 for a point start (s (sym - both) + v0 both then is s (sym - both)).
     """
-    B = A if B is None else B
+    same, A = B is None or B is A, _as_rows(A)
+    B = A if same else _as_rows(B)
     s = params.stationary_variance
     sym = np.exp(-params.lam * measure_symdiffs(params.measure, A, B))
     if v0 is None:
         return s * sym
-    m = params.measure
-    both = np.exp(-params.lam * (measure_rows(m, A)[:, None] + measure_rows(m, B)[None, :]))
+    m_A = measure_rows(params.measure, A)
+    both = np.exp(-params.lam * (m_A[:, None] + (m_A if same else measure_rows(params.measure, B))[None, :]))
     return s * (sym - both) + v0 * both
 
 

@@ -13,11 +13,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_readme import CONFIGS as README_CONFIGS
 
+from siou import cli
 from siou.cli import main
 from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
 from siou.sheet import GridSpec, batch_paths
@@ -802,3 +804,116 @@ def test_a_config_with_one_broken_leaf_is_one_configuration_error(mutated):
         assert code == 2
         assert err.getvalue().startswith("configuration error: ") and err.getvalue().count("\n") == 1
         assert sorted(p.name for p in out.iterdir()) == ["c.json"]
+
+
+# Values whose repr is easy to get wrong: signed zero, infinities, nan, the
+# smallest subnormal, and the switches to and from exponent notation.
+SPECIAL = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5, 0.1]
+
+
+def _special_values(nrows):
+    values = np.random.default_rng(nrows).standard_normal((nrows, len(SPECIAL)))
+    flat = values.reshape(-1)
+    flat[::7] = np.resize(SPECIAL, flat[::7].size)
+    values[0], values[-1] = SPECIAL, SPECIAL[::-1]
+    return values
+
+
+@pytest.fixture
+def parts(monkeypatch, tmp_path):
+    """Force a CSV split: each call sets the CPU count; every value is worth a part. Temp files go under tmp_path."""
+    monkeypatch.setattr(cli, "MIN_PART_VALUES", 1)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    return lambda cpus: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _no_child_left(tmp_path):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def _csv_line(fields):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("nrows", [1, 1023, 1024, 1025, 3 * 1024 + 7])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_the_csv_bytes_do_not_depend_on_the_split(tmp_path, parts, nrows, cpus):
+    parts(cpus)
+    values = _special_values(nrows)
+    wide, long = tmp_path / "wide.csv", tmp_path / "long.csv"
+    labels = [f"{c!r},0.5" for c in range(len(SPECIAL))]
+    cli._write_csv(str(wide), labels, values, ",".join(["{{!r}}"] * len(SPECIAL)) + "\r\n")
+    want = _csv_line(labels) + "".join(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
+    assert wide.read_bytes() == want.encode()
+    # The long format, with braces in the labels: one line per value, led by the row index.
+    _check_long(long, values[:, :3], ["{0},{1}", "}{", "7.5"])
+    _no_child_left(tmp_path)
+
+
+def _check_long(path, values, labels):
+    """Write ``values`` in sheet's long format through cli._write_csv and compare with a line-by-line reference."""
+    fields = [_csv_line([label]).strip() for label in labels]
+    row = "".join(f"{{0}},{f.replace('{', '{{{{').replace('}', '}}}}')},{{{{!r}}}}\r\n" for f in fields)
+    cli._write_csv(str(path), ["replicate", "t", "value"], values, row)
+    want = "replicate,t,value\r\n" + "".join(f"{r},{f},{v!r}\r\n" for r, vs in enumerate(values.tolist())
+                                              for f, v in zip(fields, vs))
+    assert path.read_bytes() == want.encode()
+
+
+def test_a_row_template_past_one_argument_limit_still_splits(tmp_path, parts):
+    # Linux caps one exec argument at 131,072 bytes; the template of 6,000 sheet points is larger.
+    parts(2)
+    values = np.random.default_rng(5).standard_normal((5, 6000))
+    labels = [f"{i / 7!r},{i / 3!r}" for i in range(6000)]
+    assert len("".join(labels)) > 131_072
+    _check_long(tmp_path / "wide.csv", values, labels)
+    _no_child_left(tmp_path)
+
+
+@pytest.mark.parametrize("command, golden", [("sample", GOLDEN_SAMPLE), ("sheet", GOLDEN_SHEET)])
+def test_split_outputs_match_golden_digests_and_leave_no_helper(tmp_path, capsys, parts, command, golden):
+    parts(3)
+    for name, (payload, csv_digest, _) in golden.items():
+        cfg = write_config(tmp_path, "g.json", payload)
+        code, _, err = run_cli([command, "--config", cfg, *_outputs(tmp_path)], capsys)
+        assert code == 0, err
+        assert hashlib.sha256((tmp_path / "x.csv").read_bytes()).hexdigest() == csv_digest, name
+        _no_child_left(tmp_path)
+
+
+def test_a_failing_helper_is_one_error_line(tmp_path, capsys, parts, monkeypatch):
+    parts(2)
+    monkeypatch.setattr(cli, "_HELPER", [sys.executable, "-c", "import sys; sys.exit(3)"])
+    code, _, err = run_cli(["sample", "--config", sample_config(tmp_path), *_outputs(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: OSError: CSV helper exited with 3")
+    assert err.count("\n") == 1
+    _no_child_left(tmp_path)
+
+
+def test_one_cpu_starts_no_helper(tmp_path, capsys, parts, monkeypatch):
+    parts(1)
+    calls = []
+    monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: calls.append(a))
+    code, _, _ = run_cli(["sample", "--config", sample_config(tmp_path), *_outputs(tmp_path)], capsys)
+    assert code == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, make_config", [("sample", sample_config), ("sheet", sheet_config)])
+@pytest.mark.parametrize("bad", ["csv", "json"])
+def test_an_unwritable_output_is_one_error_line(tmp_path, capsys, command, make_config, bad):
+    # A bad --json path fails after the CSV is written.
+    paths = {"csv": str(tmp_path / "x.csv"), "json": str(tmp_path / "x.json")}
+    paths[bad] = str(tmp_path / "missing" / f"x.{bad}")
+    code, _, err = run_cli([command, "--config", make_config(tmp_path), "--csv", paths["csv"],
+                            "--json", paths["json"]], capsys)
+    assert code == 1
+    assert err.startswith("error: OSError: [Errno 2] ")
+    assert err.count("\n") == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siou import geometry
 from siou.errors import DegenerateKernelError, InvalidGeometryError
 from siou.geometry import Corner, Increment, canonicalize
 from siou.kernel import (
@@ -20,6 +21,7 @@ from siou.kernel import (
     transition_params,
 )
 from siou.measures import MeasureSpec, measure_gap, measure_rect, measure_rows, measure_symdiff, measure_symdiffs
+from siou.simulator import plan
 
 
 LEB = MeasureSpec.lebesgue()
@@ -275,3 +277,19 @@ def test_cov_matrix_rejects_mixed_dimensions():
         cov_matrix(P, [Corner((1.0,))], [Corner((1.0, 2.0))])
     with pytest.raises(InvalidGeometryError):
         cov_matrix(P, [Corner((1.0,)), Corner((1.0, 2.0))])
+
+
+def test_cov_matrix_converts_each_corner_list_once(monkeypatch):
+    # The 145-corner plan of the 12 x 12 quarter grid. A Corner list reaches rows through
+    # geometry._checked; a B that is A, or left out, is not converted again.
+    corners = plan([Corner((0.25 * i, 0.25 * j)) for i in range(1, 13) for j in range(1, 13)]).corners
+    rows = np.array([c.coords for c in corners])
+    calls = []
+    checked = geometry._checked
+    monkeypatch.setattr(geometry, "_checked", lambda cs: calls.append(cs) or checked(cs))
+    for v0 in (None, 0.0, 0.5):
+        for B, conversions in ((None, 1), (corners, 1), (list(corners), 2)):
+            calls.clear()
+            got = cov_matrix(P, corners, B, v0=v0)
+            assert len(calls) == conversions
+            assert got.tobytes() == cov_matrix(P, rows, None if B is None else rows, v0=v0).tobytes()
