@@ -191,17 +191,22 @@ def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"need a nonnegative draw count, got {n}")
-    L, _ = factorize(spec.cov)
-    gen = seed.generator()
-    out = _empty((n, spec.dim))
-    z = np.empty((min(n, SAMPLE_BLOCK_ROWS), spec.dim))
+    out = _sample_centered(spec.cov, n, seed.generator())
+    out += spec.mean
+    return out
+
+
+def _sample_centered(cov: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n zero-mean draws with covariance cov from the caller's generator, as :func:`sample` makes them."""
+    L, _ = factorize(cov)
+    out = _empty((n, L.shape[0]))
+    z = np.empty((min(n, SAMPLE_BLOCK_ROWS), L.shape[0]))
     for start in range(0, n, SAMPLE_BLOCK_ROWS):
         fresh = min(len(z), n - start)
         z[: len(z) - fresh] = z[fresh:]
         gen.standard_normal(out=z[len(z) - fresh :])
         stop = start + fresh
         np.matmul(z, L.T, out=out[stop - len(z) : stop])
-    out += spec.mean
     return out
 
 

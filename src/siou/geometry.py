@@ -109,9 +109,6 @@ class Corner:
         """Corner of the rectangle intersection: the componentwise minimum."""
         return Corner(tuple(min(a, b) for a, b in self._pairs(other)))
 
-    def isclose(self, other: "Corner", atol: float = GEOM_ATOL) -> bool:
-        return all(abs(a - b) <= atol for a, b in self._pairs(other))
-
     def to_json(self) -> list[float]:
         return list(self.coords)
 
@@ -353,10 +350,6 @@ class Frontier:
     @property
     def corners(self) -> tuple[Corner, ...]:
         return tuple(c for c, _ in self.entries)
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidGridError, OutOfRangeError
 from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, _empty, factorize
-from .geometry import GEOM_ATOL, Corner
+from .geometry import Corner
 from .kernel import KernelParams
 from .measures import MeasureSpec
 
@@ -164,7 +164,7 @@ def _check_point(spec: GridSpec, t: Corner | tuple) -> np.ndarray:
     if t.dim != spec.dim:
         raise OutOfRangeError(f"point has dimension {t.dim}, grid has {spec.dim}")
     tv = np.asarray(t.coords)
-    if np.any(tv > np.asarray(spec.upper) + GEOM_ATOL):
+    if np.any(tv > np.asarray(spec.upper)):
         raise OutOfRangeError(f"point {t.coords} lies outside the grid upper corner {spec.upper}")
     return tv
 

@@ -20,12 +20,13 @@ generators are snapped once, by the geometry's one near-value rule, so the
 closure, the covers and the parent lookup all compare exactly. Each step's
 frontier is folded once; :func:`simulate` reuses it.
 
-``simulate_exact`` bypasses the sequential kernel entirely: it assembles
-the joint mean and covariance in closed form and samples in one shot. It
-exists as an independent oracle for the sequential sampler and therefore
-supports only Gaussian initial laws. A point start's Gram has exactly zero
-rows (the origin, and axis corners under the Lebesgue measure); the factor
-deflates them, so those columns come out as their means.
+``simulate_exact`` bypasses the sequential kernel entirely. The field is
+``X_U = exp(-lambda m(U)) X_0 + Z_U``, with Z the field started at 0 and
+independent of X_0, so for every initial law it draws the origin values
+first and then Z in one shot from its closed-form covariance, from the same
+stream. It exists as an independent oracle for the sequential sampler. Z's
+Gram has exactly zero rows (the origin, and axis corners under the
+Lebesgue measure); the factor deflates them, so Z is 0 there.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PlanningError
-from .gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, _empty, sample
+from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, _empty, _sample_centered
 from .geometry import Corner, Frontier, Increment, _as_rows, _group, _maxima, _snap, _union, frontier, min_closure
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
@@ -83,24 +84,6 @@ class InitialLaw:
     @classmethod
     def empirical(cls, values) -> "InitialLaw":
         return cls("empirical", tuple(values))
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self.kind in ("dirac", "normal")
-
-    @property
-    def mean(self) -> float:
-        if self.is_gaussian:
-            return self.params[0]
-        raise ConfigError("empirical initial law has no closed-form role here")
-
-    @property
-    def variance(self) -> float:
-        if self.kind == "dirac":
-            return 0.0
-        if self.kind == "normal":
-            return self.params[1]
-        raise ConfigError("empirical initial law has no closed-form role here")
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "dirac":
@@ -254,28 +237,31 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
 
 def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicates: int, seed: RngSeed,
                    tiebreak: str = "lex") -> SamplePath:
-    """Sample the joint law in one shot from its closed-form mean and covariance.
+    """Sample the joint law in one shot: the drawn origin, decayed, plus the point-started field.
 
     Accepts the same corner family as :func:`plan` (a prebuilt Plan also
     works) and uses the identical ordering, so columns line up with
-    :func:`simulate` output. With initial law N(mu0, v0) the joint moments
-    are
+    :func:`simulate` output. Every initial law takes one route,
 
-        E[X_U]        = mu0 * exp(-lambda m(U)),
-        Cov(X_U, X_V) = s * exp(-lambda m(U sym-diff V))
-                        + (v0 - s) * exp(-lambda (m(U) + m(V))),
+        X_U = exp(-lambda m(U)) X_0 + Z_U,
 
-    with s = sigma^2/(2 lambda) (:func:`~siou.kernel.cov_matrix`); a dirac x0 is
-    the v0 = 0 case. Empirical initial laws have no closed-form joint
-    Gaussian and are rejected.
+    where Z, the field started at 0, is independent of X_0 and has the
+    closed-form covariance s * exp(-lambda m(U sym-diff V)) - s *
+    exp(-lambda (m(U) + m(V))), s = sigma^2/(2 lambda)
+    (:func:`~siou.kernel.cov_matrix` with v0 = 0). Draws are consumed
+    origin first, as in :func:`simulate`, then Z as
+    :func:`~siou.gaussian.sample` draws it, from the same stream; a dirac
+    start draws nothing for X_0. The decayed origin is added one column at
+    a time, so the sampler holds its output, one block of normals and
+    O(replicates) more.
     """
-    if not initial.is_gaussian:
-        raise ConfigError("simulate_exact needs a dirac or normal initial law")
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
     pl = corners if isinstance(corners, Plan) else plan(corners, tiebreak=tiebreak)
     params.measure.check_dim(pl.dim)
-    mean = mean_vector(params, pl.corners, initial.mean)
-    cov = cov_matrix(params, pl.corners, v0=initial.variance)
-    draws = sample(GaussianSpec(mean, cov), replicates, seed)
-    return SamplePath(pl.corners, draws, params, initial, seed)
+    gen = seed.generator()
+    x0 = initial.draw(gen, replicates)
+    values = _sample_centered(cov_matrix(params, pl.corners, v0=0.0), replicates, gen)
+    for j, decay in enumerate(mean_vector(params, pl.corners, 1.0)):
+        values[:, j] += decay * x0
+    return SamplePath(pl.corners, values, params, initial, seed)

@@ -1,11 +1,11 @@
-"""Named mutants of the geometry, each of which a named check must catch.
+"""Named mutants of the library, each of which a named check must catch.
 
 A mutant is one function's source with one plausible bug edited in. It is
-compiled against its module's globals and patched over every module
-attribute that holds the original, so callers that imported the function by
-name see it too. Each mutant names the checks that must fail under it; a
-property test runs with a fixed, derandomized example budget and no
-shrinking, so its verdict is the same on every run.
+compiled against its module's globals and patched over every attribute of
+the library's and the tests' modules that holds the original, so callers
+that imported the function by name see it too. Each mutant names the checks
+that must fail under it; a property test runs with a fixed, derandomized
+example budget and no shrinking, so its verdict is the same on every run.
 """
 
 import inspect
@@ -16,9 +16,12 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import Phase, given, settings
 
-from siou import geometry
+from siou import geometry, simulator
 from test_geometry import path_families
 from test_geometry import test_tuple_path_matches_array_path as tuple_property
+from test_simulator import (
+    test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field as skewed_start,
+)
 
 PROPERTY_BUDGET = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                            phases=(Phase.explicit, Phase.generate))
@@ -42,11 +45,16 @@ MUTANTS = (
     Mutant("dominated_rows_kept", geometry, "canonicalize",
            "sorted(r for r in rows if not any(r != s and all(map(operator.le, r, s)) for s in rows))",
            "sorted(rows)", ("test_tuple_path_matches_array_path",)),
+    # The sequential sampler draws the origin from a normal with the empirical law's mean and variance.
+    Mutant("gaussian_origin", simulator, "simulate", "initial.draw(gen,",
+           "InitialLaw.normal(np.mean(initial.params), np.var(initial.params)).draw(gen,",
+           ("test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field",)),
 )
 
 CHECKS = {
     "test_tuple_path_matches_array_path":
         lambda: PROPERTY_BUDGET(given(path_families())(tuple_property.hypothesis.inner_test))(),
+    "test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field": skewed_start,
 }
 
 
@@ -63,7 +71,7 @@ def _mutated(mutant: Mutant):
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_every_named_check_catches_the_mutant(mutant, monkeypatch):
     original, bad = _mutated(mutant)
-    for module in [m for name, m in sys.modules.items() if name.startswith("siou.")]:
+    for module in [m for name, m in sys.modules.items() if name.startswith(("siou.", "test_"))]:
         if getattr(module, mutant.function, None) is original:
             monkeypatch.setattr(module, mutant.function, bad)
     for check in mutant.checks:

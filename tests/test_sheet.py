@@ -89,10 +89,10 @@ def test_point_validation():
         integrate_stationary(f, (1.0, 1.0), 1.0, Corner((0.5,)))
     with pytest.raises(InvalidGridError):
         integrate_stationary(f, (-1.0,), 1.0, Corner((0.5,)))
-    # the upper corner allows the geometry's slack GEOM_ATOL, and no more
-    integrate_stationary(f, (1.0,), 1.0, Corner((1.0 + 0.5 * GEOM_ATOL,)))
+    # a point at the upper corner is inside the grid, and any point beyond it is not
+    integrate_stationary(f, (1.0,), 1.0, Corner((1.0,)))
     with pytest.raises(OutOfRangeError):
-        integrate_stationary(f, (1.0,), 1.0, Corner((1.0 + 2.0 * GEOM_ATOL,)))
+        integrate_stationary(f, (1.0,), 1.0, Corner((1.0 + 0.5 * GEOM_ATOL,)))
 
 
 def test_integrals_accept_bare_tuples():

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from siou import simulator
 from siou.errors import ConfigError, PlanningError
-from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
+from siou.gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed
 from siou.geometry import GEOM_ATOL, Corner, Frontier, Increment, canonicalize, frontier, min_closure
-from siou.kernel import KernelParams, cov_dirac, cov_matrix, cov_stationary, mean_dirac, transition_params
+from siou.kernel import KernelParams, cov_dirac, cov_matrix, cov_stationary, mean_dirac, mean_vector, transition_params
 from siou.measures import MeasureSpec
 from siou.simulator import InitialLaw, plan, simulate, simulate_exact
-from siou.verify import check_mc_agreement, schur_gap, sign_flipped_covariance, theory_dirac
+from siou.verify import check_mc_agreement, check_mc_moments, schur_gap, sign_flipped_covariance, theory_dirac
 
 
 LEB = MeasureSpec.lebesgue()
@@ -231,7 +231,7 @@ def test_plan_transitions_factor_the_closed_form_covariance(case, tiebreak, v0):
 def test_plan_factor_gap_sees_a_wrong_covariance_and_wrong_parents():
     pl = plan(FOUR_CORNERS)
     top = pl.steps[-1]
-    assert top.frontier.signs == (-2, 1, 1, 1)
+    assert [s for _, s in top.frontier.entries] == [-2, 1, 1, 1]
     assert _plan_factor_gap(pl, P, None) <= 1e-12
     assert _plan_factor_gap(pl, P, None, cov_fn=sign_flipped_covariance) > 1e-3
     swapped = dataclasses.replace(top, parents=top.parents[::-1])
@@ -241,7 +241,7 @@ def test_plan_factor_gap_sees_a_wrong_covariance_and_wrong_parents():
 def test_simulate_agrees_with_the_exact_sampler_across_a_net_of_minus_two():
     family = [Corner(c) for c in ((0.25, 0.25, 0.75), (0.25, 1.75, 0.25), (1.5, 1.25, 1.25), (1.25, 0.25, 0.25))]
     pl = plan(family)
-    assert -2 in pl.steps[-1].frontier.signs
+    assert -2 in [s for _, s in pl.steps[-1].frontier.entries]
     params = KernelParams(0.8, 1.3, LEB)
     n = 40_000
     a = simulate(pl, params, InitialLaw.dirac(0.7), n, RngSeed(71))
@@ -302,15 +302,22 @@ def test_simulate_holds_its_output_plus_one_block(initial):
     assert peak < 1.25 * path.values.nbytes
 
 
+@pytest.mark.parametrize("initial", STARTS, ids=lambda law: law.kind)
+def test_simulate_exact_holds_its_output_plus_one_block(initial):
+    pl = plan(_antichain_and_top(12))
+    n = 20_000
+    simulate_exact(pl, P, initial, 1, RngSeed(5))  # a first call imports modules, which tracemalloc would count
+    tracemalloc.start()
+    try:
+        path = simulate_exact(pl, P, initial, n, RngSeed(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = SAMPLE_BLOCK_ROWS * len(pl.corners) * 8
+    assert peak < path.values.nbytes + block + 4 * n * 8
+
+
 def test_initial_law_variants():
-    d = InitialLaw.dirac(0.7)
-    n = InitialLaw.normal(0.0, 2.0)
-    e = InitialLaw.empirical([1.0, 2.0, 3.0])
-    assert d.is_gaussian and n.is_gaussian and not e.is_gaussian
-    assert d.mean == 0.7 and d.variance == 0.0
-    assert n.variance == 2.0
-    with pytest.raises(ConfigError):
-        _ = e.mean
     with pytest.raises(ConfigError):
         InitialLaw.normal(0.0, -1.0)
     with pytest.raises(ConfigError):
@@ -416,9 +423,49 @@ def test_empirical_initial_propagates_mixture():
     assert abs(path.values[:, 1].mean() - want) <= 5 * sd / math.sqrt(n)
 
 
-def test_simulate_exact_rejects_empirical():
-    with pytest.raises(ConfigError):
-        simulate_exact(FAMILY, P, InitialLaw.empirical([1.0]), 10, RngSeed(1))
+def _third_moments(values):
+    """Each column's third central moment and its standard error (delta method)."""
+    c = values - values.mean(axis=0)
+    influence = c**3 - 3 * (c**2).mean(axis=0) * c
+    return (c**3).mean(axis=0), influence.std(axis=0) / math.sqrt(len(values))
+
+
+def test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field():
+    # X_U = e^{-lambda m(U)} X_0 + Z_U with Z the field started at 0, independent of X_0.
+    skewed = [-1.0, 0.0, 0.0, 0.0, 4.0]
+    pl = plan(FAMILY)
+    n = 100_000
+    decay = mean_vector(P, pl.corners, 1.0)
+    theory = theory_dirac(P, pl.corners, 0.0)
+    paths = [simulate(pl, P, InitialLaw.empirical(skewed), n, RngSeed(81)),
+             simulate_exact(pl, P, InitialLaw.empirical(skewed), n, RngSeed(82))]
+    residuals = []
+    for path in paths:
+        x0 = path.values[:, 0]
+        assert set(np.unique(x0)) == set(skewed)
+        residual = path.values - np.outer(x0, decay)
+        report = check_mc_moments(residual, theory)
+        assert report.passed, report.details
+        live = residual[:, np.diag(theory.cov) > 0]
+        for start in (x0, x0**2):
+            corr = (start - start.mean()) @ (live - live.mean(axis=0)) / (n * start.std() * live.std(axis=0))
+            assert np.all(np.abs(corr) <= 5 / math.sqrt(n)), corr
+        residuals.append(residual)
+    report = check_mc_agreement(*residuals, theory)
+    assert report.passed, report.details
+    # The origin's skew reaches every corner as e^{-3 lambda m} times its third central moment.
+    want = np.mean((np.array(skewed) - np.mean(skewed)) ** 3) * decay**3
+    (ma, sa), (mb, sb) = (_third_moments(path.values) for path in paths)
+    assert np.all(np.abs(ma - want) <= 5 * sa), (ma, want)
+    assert np.all(np.abs(ma - mb) <= 5 * np.hypot(sa, sb)), (ma, mb)
+
+
+def test_simulate_exact_from_a_normal_start_has_the_closed_form_law():
+    pl = plan(FAMILY)
+    path = simulate_exact(pl, P, InitialLaw.normal(0.3, 0.4), 100_000, RngSeed(83))
+    theory = GaussianSpec(mean_vector(P, pl.corners, 0.3), cov_matrix(P, pl.corners, v0=0.4))
+    report = check_mc_moments(path, theory)
+    assert report.passed, report.details
 
 
 def test_simulate_exact_from_raw_corners_matches_plan_layout():

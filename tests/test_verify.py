@@ -214,7 +214,7 @@ def test_transition_checks_pass_on_nets_beyond_one(monkeypatch, check, trials):
     for dim, measure in ((3, LEB), (4, MeasureSpec.axis((1.0, 0.5, 2.0, 1.5)))):
         report = check(KernelParams(0.8, 1.3, measure), dim, trials, RngSeed(dim))
         assert report.passed, report
-    beyond_one = sum(any(abs(n) > 1 for n in frontier(inc).signs) for inc in seen)
+    beyond_one = sum(any(abs(n) > 1 for _, n in frontier(inc).entries) for inc in seen)
     assert beyond_one >= 200
 
 
