@@ -6,15 +6,17 @@ standard normals come from the Generator's ziggurat implementation, which
 is stable across runs on a given platform. Parallel consumers should take
 distinct stream values rather than partitioning one stream.
 
-Factorization is Cholesky. Exactly zero rows (a point start's origin, and
-axis corners under the Lebesgue measure) are deflated: LAPACK factors the
-rest and those rows of the factor stay 0, so degenerate components sample
-as constants. Other singular matrices go through a rank-deficient pass that
-skips exactly zero pivots, and a short jitter ladder of 1e-12, 1e-10 and
-1e-8 times the largest diagonal entry catches matrices that are indefinite
-only through roundoff. Matrices that fail the whole ladder are reported as
-not positive semidefinite together with their most negative eigenvalue (the
-offending pivot scale).
+Factorization is Cholesky with one deflation rule. A row that is exactly
+zero (a point start's origin, axis corners under the Lebesgue measure) or
+that repeats an earlier row bit for bit (a repeated corner, two sheet
+points with one support) is deflated: LAPACK factors the other rows once,
+a zero row's factor row is 0 and a repeat takes its first copy's, so
+degenerate components sample as constants or as their twins. If LAPACK
+fails, a short jitter ladder of 1e-12, 1e-10 and 1e-8 times the largest
+diagonal entry catches matrices that are indefinite only through
+roundoff. Matrices that fail the whole ladder are reported as not positive
+semidefinite together with their most negative eigenvalue (the offending
+pivot scale).
 
 :func:`sample` streams: it draws ``SAMPLE_BLOCK_ROWS`` rows of normals at a
 time and writes their product with the factor straight into the output, so
@@ -23,7 +25,6 @@ it holds the output plus one block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,7 @@ class GaussianSpec:
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance shape {cov.shape} does not match mean of length {mean.size}")
         if cov.size:
-            scale = max(1.0, float(np.max(np.abs(cov))))
-            if float(np.max(np.abs(cov - cov.T))) > SYMMETRY_RTOL * scale:
-                raise ValueError("covariance is not symmetric")
+            _check_symmetric(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -98,44 +97,29 @@ class GaussianSpec:
         return self.mean.size
 
 
-def _rank_deficient_cholesky(cov: np.ndarray, scale: float) -> np.ndarray | None:
-    """Outer-product Cholesky that zeroes non-positive pivots.
+def _check_symmetric(cov: np.ndarray) -> None:
+    """Raise ValueError when cov is asymmetric beyond SYMMETRY_RTOL of its largest entry (or of 1)."""
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    if float(np.max(np.abs(cov - cov.T))) > SYMMETRY_RTOL * scale:
+        raise ValueError("covariance is not symmetric")
 
-    Returns a lower-triangular L with L @ L.T equal to cov up to roundoff
-    when cov is positive semidefinite with exact rank deficiencies, or None
-    when a pivot is genuinely negative or a zeroed pivot would discard
-    off-diagonal weight (either means the matrix is not PSD as given).
-    """
-    n = cov.shape[0]
-    a = cov.copy()
-    out = np.zeros((n, n))
-    pivot_tol = 1e-13 * scale
-    for j in range(n):
-        pivot = float(a[j, j])
-        if pivot <= pivot_tol:
-            if pivot < -1e-10 * scale:
-                return None
-            if j + 1 < n and float(np.max(np.abs(a[j + 1 :, j]))) > 1e-10 * scale:
-                return None
-            continue
-        root = math.sqrt(pivot)
-        col = a[j + 1 :, j] / root
-        out[j, j] = root
-        out[j + 1 :, j] = col
-        a[j + 1 :, j + 1 :] -= np.outer(col, col)
-    return out
+
+def _first_copies(rows: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row equal to it bit for bit."""
+    firsts: dict[bytes, int] = {}
+    return np.array([firsts.setdefault(row.tobytes(), i) for i, row in enumerate(rows)], dtype=int)
 
 
 def factorize(cov) -> tuple[np.ndarray, float]:
     """Cholesky factor of cov plus the jitter that made it work.
 
-    Returns (L, jitter) with L @ L.T equal to cov + jitter * I. Rows and
-    columns that are exactly zero are deflated: LAPACK factors the rest, and
-    those rows of L are 0. Other exactly singular PSD matrices factorize
-    without jitter through the rank-deficient pass, so degenerate components
-    stay degenerate. The jitter ladder is relative to the largest diagonal
-    entry; an exactly zero matrix factorizes to zero. Raises NotPSDError
-    when the ladder runs out.
+    Returns (L, jitter) with L @ L.T equal to cov + jitter * I. A row that
+    is exactly zero, or that repeats an earlier row bit for bit, is
+    deflated: LAPACK factors the other rows, a zero row of L stays 0 and a
+    repeated row of L equals its first copy's, so degenerate components stay
+    degenerate without jitter. If LAPACK fails, the jitter ladder, relative
+    to the largest diagonal entry, factors the whole matrix; an exactly zero
+    matrix factorizes to zero. Raises NotPSDError when the ladder runs out.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -143,26 +127,22 @@ def factorize(cov) -> tuple[np.ndarray, float]:
     d = cov.shape[0]
     if d == 0:
         return np.zeros((0, 0)), 0.0
-    scale = max(1.0, float(np.max(np.abs(cov))))
-    if float(np.max(np.abs(cov - cov.T))) > SYMMETRY_RTOL * scale:
-        raise ValueError("covariance is not symmetric")
+    _check_symmetric(cov)
     max_diag = float(np.max(np.diag(cov)))
     if max_diag <= 0.0:
         if not np.any(cov):
             return np.zeros((d, d)), 0.0
     else:
-        live = np.any(cov, axis=0) | np.any(cov, axis=1)
+        owner = _first_copies(cov)
+        kept = np.flatnonzero((owner == np.arange(d)) & cov.any(axis=1))
         try:
-            if live.all():
+            if kept.size == d:
                 return np.linalg.cholesky(cov), 0.0
             low = np.zeros((d, d))
-            low[np.ix_(live, live)] = np.linalg.cholesky(cov[np.ix_(live, live)])
-            return low, 0.0
+            low[np.ix_(kept, kept)] = np.linalg.cholesky(cov[np.ix_(kept, kept)])
+            return low[owner], 0.0
         except np.linalg.LinAlgError:
             pass
-        low = _rank_deficient_cholesky(cov, max_diag)
-        if low is not None and float(np.max(np.abs(low @ low.T - cov))) <= 1e-8 * max_diag:
-            return low, 0.0
         eye = np.eye(d)
         for level in JITTER_LADDER[1:]:
             jitter = level * max_diag

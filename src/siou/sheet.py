@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InvalidGridError, OutOfRangeError
-from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, _empty, factorize
+from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, _empty, _first_copies, factorize
 from .geometry import Corner
 from .kernel import KernelParams
 from .measures import MeasureSpec
@@ -112,11 +112,15 @@ class GridSpec:
         return math.prod(self.steps)
 
 
+def _axis_centers(spec: GridSpec) -> list[np.ndarray]:
+    """Each axis's cell centers, ascending."""
+    return [lo + (np.arange(s) + 0.5) * w for lo, s, w in zip(spec.lower, spec.steps, spec.cell_widths)]
+
+
 @lru_cache(maxsize=8)
 def _centers_flat(spec: GridSpec) -> np.ndarray:
     """Cell centers as a (ncells, N) array in C order of the cell grid."""
-    axes = [lo + (np.arange(s) + 0.5) * w for lo, s, w in zip(spec.lower, spec.steps, spec.cell_widths)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*_axis_centers(spec), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
@@ -169,6 +173,11 @@ def _check_point(spec: GridSpec, t: Corner | tuple) -> np.ndarray:
     return tv
 
 
+def _check_points(spec: GridSpec, points) -> np.ndarray:
+    """The points as a (P, N) array, each checked by ``_check_point``."""
+    return np.array([_check_point(spec, t) for t in points], dtype=float).reshape(-1, spec.dim)
+
+
 def _cell_weights(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
                   stationary: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The support cells and each point's weights on them: ``(support, W, drift)``.
@@ -184,7 +193,7 @@ def _cell_weights(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
     """
     a = _check_alpha(alpha, spec.dim)
     sigma = _check_sigma(sigma)
-    tvs = np.array([_check_point(spec, t) for t in points], dtype=float).reshape(-1, spec.dim)
+    tvs = _check_points(spec, points)
     centers = _centers_flat(spec)
     inside = np.all(centers[:, None, :] <= tvs[None, :, :], axis=2)
     if not stationary:
@@ -244,14 +253,22 @@ def _sheet_factor(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
     ``Gt @ Gt.T`` is cell volume * W^T W for the ``_cell_weights`` W. It is
     sigma * peak times the ``factorize`` factor of the Gram of W / peak, W
     built for sigma = 1 and peak its column maxima, so neither a huge sigma
-    nor a steep alpha overflows or underflows the squares. All-zero columns
-    are dropped: at most one normal per point, none for a point at its drift.
+    nor a steep alpha overflows or underflows the squares. Points with one
+    support (the same count of cell centers <= t on every axis) take the
+    first such point's scaled column bit for bit, so their Gram rows repeat
+    and ``factorize`` deflates them. All-zero columns are dropped: at most
+    one normal per point, none for a point at its drift.
     """
     sigma = _check_sigma(sigma)
     _, W, drift = _cell_weights(spec, alpha, 1.0, points, y0, stationary)
     peak = W.max(axis=0, initial=0.0)
     peak[peak == 0.0] = 1.0
     W /= peak
+    tvs = _check_points(spec, points)
+    keys = np.stack([np.searchsorted(ax, tvs[:, i], side="right") for i, ax in enumerate(_axis_centers(spec))], axis=1)
+    owner = _first_copies(keys)
+    twins = np.flatnonzero(owner != np.arange(owner.size))
+    W[:, twins] = W[:, owner[twins]]
     L, _ = factorize(spec.cell_volume * np.einsum("cp,cq->pq", W, W))
     Gt = (sigma * peak)[:, None] * L
     return drift, np.ascontiguousarray(Gt[:, Gt.any(axis=0)])

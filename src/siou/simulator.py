@@ -235,13 +235,12 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
     return SamplePath(pl.corners, values, params, initial, seed, transitions)
 
 
-def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicates: int, seed: RngSeed,
-                   tiebreak: str = "lex") -> SamplePath:
+def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicates: int, seed: RngSeed) -> SamplePath:
     """Sample the joint law in one shot: the drawn origin, decayed, plus the point-started field.
 
-    Accepts the same corner family as :func:`plan` (a prebuilt Plan also
-    works) and uses the identical ordering, so columns line up with
-    :func:`simulate` output. Every initial law takes one route,
+    Takes a Plan, or a corner family that it plans in :func:`plan`'s
+    default "lex" order, so columns line up with :func:`simulate` output
+    on that plan. Every initial law takes one route,
 
         X_U = exp(-lambda m(U)) X_0 + Z_U,
 
@@ -257,7 +256,7 @@ def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicate
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
-    pl = corners if isinstance(corners, Plan) else plan(corners, tiebreak=tiebreak)
+    pl = corners if isinstance(corners, Plan) else plan(corners)
     params.measure.check_dim(pl.dim)
     gen = seed.generator()
     x0 = initial.draw(gen, replicates)

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from siou import gaussian
 from siou.errors import NotPSDError
 from siou.gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, conditional, factorize, sample
 from siou.geometry import Corner
@@ -88,11 +87,7 @@ def test_factorize_jitter_ladder_for_larger_negativity():
     assert err <= 1e-7 * float(np.max(np.abs(cov)))
 
 
-def test_factorize_deflates_the_origin_row_of_a_point_started_gram(monkeypatch):
-    def no_python_pass(cov, scale):
-        raise AssertionError("the rank-deficient pass ran")
-
-    monkeypatch.setattr(gaussian, "_rank_deficient_cholesky", no_python_pass)
+def test_factorize_deflates_the_origin_row_of_a_point_started_gram():
     cov = point_started_gram(12).cov
     L, jitter = factorize(cov)
     assert jitter == 0.0
@@ -100,23 +95,43 @@ def test_factorize_deflates_the_origin_row_of_a_point_started_gram(monkeypatch):
     assert float(np.max(np.abs(L @ L.T - cov))) <= 1e-12 * float(np.max(np.diag(cov)))
 
 
-def test_factorize_duplicated_corner_takes_the_rank_deficient_pass(monkeypatch):
-    calls = []
-    python_pass = gaussian._rank_deficient_cholesky
-
-    def spy(cov, scale):
-        calls.append(cov.shape)
-        return python_pass(cov, scale)
-
-    monkeypatch.setattr(gaussian, "_rank_deficient_cholesky", spy)
+def test_factorize_deflates_a_duplicated_corner_onto_its_first_copy():
     params = KernelParams(0.9, 1.3, MeasureSpec.lebesgue())
     corners = [Corner((0.0, 0.0)), Corner((0.5, 1.0)), Corner((1.0, 0.5)), Corner((0.5, 1.0))]
     cov = cov_matrix(params, corners, v0=0.0)
     L, jitter = factorize(cov)
-    assert calls == [(4, 4)]
     assert jitter == 0.0
-    assert L[3, 3] == 0.0
+    assert not L[0].any()
+    assert L[3].tobytes() == L[1].tobytes()
     np.testing.assert_allclose(L @ L.T, cov, atol=1e-14)
+
+
+@pytest.mark.parametrize("v0", [None, 0.0], ids=["stationary", "point_started"])
+def test_factorize_deflates_mixed_zero_and_repeated_rows(v0):
+    # Under the Lebesgue measure the origin and the axis corners (0, 0.7) and
+    # (0.3, 0) have measure 0: from a point start they are the constant origin
+    # (zero rows), and stationary they are one value (repeated rows). The
+    # corners (0.5, 1) and (1, 0.5) each appear twice.
+    params = KernelParams(0.9, 1.3, MeasureSpec.lebesgue())
+    coords = [(0.0, 0.0), (0.5, 1.0), (0.0, 0.7), (1.0, 0.5), (0.5, 1.0), (0.3, 0.0), (1.0, 0.5), (0.8, 0.9)]
+    cov = cov_matrix(params, [Corner(c) for c in coords], v0=v0)
+    L, jitter = factorize(cov)
+    assert jitter == 0.0
+    if v0 is None:
+        assert L[0, 0] > 0.0 and L[2].tobytes() == L[5].tobytes() == L[0].tobytes()
+    else:
+        assert not L[[0, 2, 5]].any()
+    assert L[4].tobytes() == L[1].tobytes() and L[6].tobytes() == L[3].tobytes()
+    assert np.all(np.diag(L)[[1, 3, 7]] > 0.0)
+    assert float(np.max(np.abs(L @ L.T - cov))) <= 1e-12 * float(np.max(np.diag(cov)))
+
+
+def test_factorize_sends_a_singular_matrix_without_twin_rows_to_the_ladder():
+    # Rank one, but no row is 0 or repeats another: LAPACK meets a zero pivot.
+    cov = np.array([[1.0, 2.0], [2.0, 4.0]])
+    L, jitter = factorize(cov)
+    assert 0.0 < jitter <= 1e-8 * 4.0
+    np.testing.assert_allclose(L @ L.T, cov + jitter * np.eye(2), rtol=0.0, atol=1e-14)
 
 
 def test_factorize_zero_pivot_with_off_diagonal_weight_is_not_deflated():

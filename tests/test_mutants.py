@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import Phase, given, settings
 
-from siou import geometry, simulator
+from siou import gaussian, geometry, sheet, simulator
 from test_geometry import path_families
+from test_gaussian import test_factorize_deflates_a_duplicated_corner_onto_its_first_copy as duplicated_corner
 from test_geometry import test_tuple_path_matches_array_path as tuple_property
+from test_sheet import test_points_sharing_a_support_are_deflated_without_jitter as shared_support
 from test_simulator import (
     test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field as skewed_start,
 )
@@ -49,12 +51,20 @@ MUTANTS = (
     Mutant("gaussian_origin", simulator, "simulate", "initial.draw(gen,",
            "InitialLaw.normal(np.mean(initial.params), np.var(initial.params)).draw(gen,",
            ("test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field",)),
+    # The sheet counts only the centers strictly below a point, so a point on a center shares a key with one below it.
+    Mutant("support_key_below_center", sheet, "_sheet_factor", 'side="right"', 'side="left"',
+           ("test_points_sharing_a_support_are_deflated_without_jitter",)),
+    Mutant("repeat_left_zero", gaussian, "factorize", "return low[owner], 0.0", "return low, 0.0",
+           ("test_factorize_deflates_a_duplicated_corner_onto_its_first_copy",)),
 )
 
 CHECKS = {
     "test_tuple_path_matches_array_path":
         lambda: PROPERTY_BUDGET(given(path_families())(tuple_property.hypothesis.inner_test))(),
     "test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field": skewed_start,
+    "test_points_sharing_a_support_are_deflated_without_jitter":
+        lambda: [shared_support(steep, stationary) for steep in (1.0, 40.0) for stationary in (False, True)],
+    "test_factorize_deflates_a_duplicated_corner_onto_its_first_copy": duplicated_corner,
 }
 
 

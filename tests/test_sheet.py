@@ -389,6 +389,44 @@ def test_sheet_factor_has_the_law_of_the_cell_weights(case, steepness):
     np.testing.assert_array_equal(rows, np.broadcast_to(drift, rows.shape))
 
 
+def _crowded_points(spec: GridSpec) -> list[tuple[float, ...]]:
+    """Many points over a few cells: on a center, just above it, just below it, and repeated."""
+    widths = np.array(spec.cell_widths)
+    points = []
+    centers = sheet._centers_flat(spec)
+    for center in centers[np.all(centers >= 0.4 * widths, axis=1)][::3]:
+        for shift in (0.0, 0.25, -0.25, 0.1, 0.0, -0.4):
+            points.append(tuple(center + shift * widths))
+        points.append(tuple(center + np.array([0.3, -0.2]) * widths))
+    return points
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize("steepness", [1.0, 40.0])
+def test_points_sharing_a_support_are_deflated_without_jitter(steepness, stationary):
+    # Points with one support get one column and one normal. A point on a
+    # cell center has that cell in its support; one just below it does not.
+    spec = GridSpec((-0.5, -0.25), (1.0, 1.0), (9, 7))
+    points = _crowded_points(spec)
+    alpha = (steepness, 0.5 * steepness)
+    _, W, _ = _cell_weights(spec, alpha, 0.7, points, 0.2, stationary)
+    supports = {tuple(W[:, j] > 0.0) for j in range(len(points)) if W[:, j].any()}
+    jitters = []
+
+    def spy(cov):
+        L, jitter = factorize(cov)
+        jitters.append(jitter)
+        return L, jitter
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sheet, "factorize", spy)
+        _, Gt = sheet._sheet_factor(spec, alpha, 0.7, points, 0.2, stationary)
+    assert len(points) > 3 * len(supports)
+    assert jitters == [0.0]
+    assert Gt.shape == (len(points), len(supports))
+    assert _factor_gap(Gt, W, spec.cell_volume) <= 1e-12
+
+
 @settings(max_examples=200, deadline=None)
 @given(grids_and_points(), st.integers(1, 150), st.integers(1, 80), st.integers(0, 2**32))
 def test_batch_paths_rows_are_drift_plus_one_factor_draw(case, replicates, extra, seed_value):
