@@ -21,13 +21,29 @@ pivot scale).
 :func:`sample` streams: it draws ``SAMPLE_BLOCK_ROWS`` rows of normals at a
 time and writes their product with the factor straight into the output, so
 it holds the output plus one block.
+
+:func:`factorize`'s LAPACK calls and :func:`sample`'s block products run on
+one OpenBLAS thread, whatever ``OPENBLAS_NUM_THREADS`` says, and the pool's
+count is restored afterwards. LAPACK's factor of a Gram differs in the last
+bits between thread counts, so draws made on the pool's count would follow
+it; on siou's sizes a second thread also saves no wall time, while its
+worker spins after every call. The count is reached through the OpenBLAS
+that numpy loaded; under another BLAS nothing is set. It is one count per
+process, so while such a call runs, BLAS work in other Python threads runs
+on one thread too. The price shows on large products: at d = 1,025 the five
+4,096-row blocks of 2e4 draws take 0.64-0.71 s on one thread against
+0.32-0.41 s on two, warm (2 cores).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from .errors import NotPSDError
 
@@ -110,6 +126,59 @@ def _first_copies(rows: np.ndarray) -> np.ndarray:
     return np.array([firsts.setdefault(row.tobytes(), i) for i, row in enumerate(rows)], dtype=int)
 
 
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS numpy calls into, or None under another BLAS.
+
+    The symbols are looked up through numpy's own extension module, so they
+    resolve to the library it loaded (scipy-openblas wheels prefix and
+    suffix their names).
+    """
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+_OPENBLAS = _openblas_thread_calls()
+# OpenBLAS's pool is one per process, so the scopes that hold it at one
+# thread are counted per process: the first to open saves the count and
+# the last to close restores it, whichever Python threads they run on.
+_SCOPE_LOCK = threading.Lock()
+_scopes_open = 0
+_threads_before = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block, then restore its count; a no-op under another BLAS."""
+    global _scopes_open, _threads_before
+    if _OPENBLAS is None:
+        yield
+        return
+    get, put = _OPENBLAS
+    with _SCOPE_LOCK:
+        if _scopes_open == 0:
+            _threads_before = get()
+            put(1)
+        _scopes_open += 1
+    try:
+        yield
+    finally:
+        with _SCOPE_LOCK:
+            _scopes_open -= 1
+            if _scopes_open == 0:
+                put(_threads_before)
+
+
 def factorize(cov) -> tuple[np.ndarray, float]:
     """Cholesky factor of cov plus the jitter that made it work.
 
@@ -135,21 +204,22 @@ def factorize(cov) -> tuple[np.ndarray, float]:
     else:
         owner = _first_copies(cov)
         kept = np.flatnonzero((owner == np.arange(d)) & cov.any(axis=1))
-        try:
-            if kept.size == d:
-                return np.linalg.cholesky(cov), 0.0
-            low = np.zeros((d, d))
-            low[np.ix_(kept, kept)] = np.linalg.cholesky(cov[np.ix_(kept, kept)])
-            return low[owner], 0.0
-        except np.linalg.LinAlgError:
-            pass
-        eye = np.eye(d)
-        for level in JITTER_LADDER[1:]:
-            jitter = level * max_diag
+        with _one_blas_thread():
             try:
-                return np.linalg.cholesky(cov + jitter * eye), jitter
+                if kept.size == d:
+                    return np.linalg.cholesky(cov), 0.0
+                low = np.zeros((d, d))
+                low[np.ix_(kept, kept)] = np.linalg.cholesky(cov[np.ix_(kept, kept)])
+                return low[owner], 0.0
             except np.linalg.LinAlgError:
-                continue
+                pass
+            eye = np.eye(d)
+            for level in JITTER_LADDER[1:]:
+                jitter = level * max_diag
+                try:
+                    return np.linalg.cholesky(cov + jitter * eye), jitter
+                except np.linalg.LinAlgError:
+                    continue
     worst = float(np.linalg.eigvalsh(cov)[0])
     raise NotPSDError(f"matrix is not positive semidefinite within the jitter ladder; most negative eigenvalue {worst:.6e}")
 
@@ -161,10 +231,13 @@ def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
     drawn and multiplied ``SAMPLE_BLOCK_ROWS`` rows at a time straight into
     the output. Every product has that many rows (or n, if fewer): a short
     last block keeps the end of the block before it and rewrites those rows.
-    OpenBLAS rounds a row the same in any product of that shape as in the
-    one-shot product when d <= 256. Above that its rounding follows the
-    product's shape: for n > SAMPLE_BLOCK_ROWS a few draws differ from the
-    one-shot product in the last bit (39 of 2.4e6 at d = 290, n = 8200, 2 threads).
+    The products run on one OpenBLAS thread (see the module docstring), so
+    the bytes do not depend on the thread count. OpenBLAS rounds a row the
+    same in any product of that shape as in the one-shot product when
+    d <= 256. Above that its rounding follows the product's shape: for
+    n > SAMPLE_BLOCK_ROWS a few draws differ from the one-shot product in
+    the last bit (at d = 290, n = 8200: 2 of 2.4e6 against a one-shot
+    product on one thread, 31 against one on two).
     Products of fewer rows take another kernel, so for n < SAMPLE_BLOCK_ROWS
     the draws need not be a longer run's first n rows (n = 1 at d = 2 and 8;
     n = 1, 2, 3, 7, 64, 100 at d = 145), unlike ``sheet.batch_paths`` rows.
@@ -181,12 +254,13 @@ def _sample_centered(cov: np.ndarray, n: int, gen: np.random.Generator) -> np.nd
     L, _ = factorize(cov)
     out = _empty((n, L.shape[0]))
     z = np.empty((min(n, SAMPLE_BLOCK_ROWS), L.shape[0]))
-    for start in range(0, n, SAMPLE_BLOCK_ROWS):
-        fresh = min(len(z), n - start)
-        z[: len(z) - fresh] = z[fresh:]
-        gen.standard_normal(out=z[len(z) - fresh :])
-        stop = start + fresh
-        np.matmul(z, L.T, out=out[stop - len(z) : stop])
+    with _one_blas_thread():
+        for start in range(0, n, SAMPLE_BLOCK_ROWS):
+            fresh = min(len(z), n - start)
+            z[: len(z) - fresh] = z[fresh:]
+            gen.standard_normal(out=z[len(z) - fresh :])
+            stop = start + fresh
+            np.matmul(z, L.T, out=out[stop - len(z) : stop])
     return out
 
 

@@ -250,9 +250,9 @@ def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicate
     (:func:`~siou.kernel.cov_matrix` with v0 = 0). Draws are consumed
     origin first, as in :func:`simulate`, then Z as
     :func:`~siou.gaussian.sample` draws it, from the same stream; a dirac
-    start draws nothing for X_0. The decayed origin is added one column at
-    a time, so the sampler holds its output, one block of normals and
-    O(replicates) more.
+    start draws nothing for X_0. The decayed origin is added
+    ``SAMPLE_BLOCK_ROWS`` rows at a time, so the sampler holds its output,
+    one block and the replicates' origin values.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
@@ -261,6 +261,8 @@ def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicate
     gen = seed.generator()
     x0 = initial.draw(gen, replicates)
     values = _sample_centered(cov_matrix(params, pl.corners, v0=0.0), replicates, gen)
-    for j, decay in enumerate(mean_vector(params, pl.corners, 1.0)):
-        values[:, j] += decay * x0
+    decay = mean_vector(params, pl.corners, 1.0)
+    for start in range(0, replicates, SAMPLE_BLOCK_ROWS):
+        blk = slice(start, start + SAMPLE_BLOCK_ROWS)
+        values[blk] += x0[blk, None] * decay
     return SamplePath(pl.corners, values, params, initial, seed)

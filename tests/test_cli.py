@@ -507,26 +507,29 @@ def test_unallocatable_output_is_one_error_line(tmp_path, capsys, command, make_
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
-def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+def _run_at_blas_threads(command, cfg, out, threads):
+    """Run ``siou <command>`` in a child pinned to the given OpenBLAS thread count; write out.csv and out.json."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "siou", command, "--config", cfg, "--csv", f"{out}.csv", "--json", f"{out}.json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
     # The top corner of a 12-corner antichain sums 23 weighted parent columns;
     # 4,096 + 811 replicates give a full block and a partial one. The sampler
     # makes no BLAS call, so the bytes must not move with the thread count.
     m = 12
     corners = [[0.25 * i, 0.25 * (m + 1 - i)] for i in range(1, m + 1)] + [[0.25 * (m + 1)] * 2]
     cfg = sample_config(tmp_path, corners=corners, replicates=4096 + 811)
-    here, alone = tmp_path / "here.csv", tmp_path / "alone.csv"
-    code, _, _ = run_cli(["sample", "--config", cfg, "--csv", str(here), "--json", str(tmp_path / "here.json")], capsys)
-    assert code == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "siou", "sample", "--config", cfg, "--csv", str(alone),
-         "--json", str(tmp_path / "alone.json")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
-    assert proc.returncode == 0, proc.stderr
-    assert here.read_bytes() == alone.read_bytes()
+    for threads in (1, 2):
+        _run_at_blas_threads("sample", cfg, tmp_path / f"t{threads}", threads)
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"t1.{ext}").read_bytes() == (tmp_path / f"t2.{ext}").read_bytes()
 
 
-def test_sheet_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+def test_sheet_bytes_do_not_depend_on_blas_threads(tmp_path):
     # Four 3-D points, so the covariance passes through LAPACK's Cholesky; one
     # whole row block and a short one of 17 rows go through the einsum product.
     cfg = write_config(tmp_path, "sh3.json", {
@@ -538,17 +541,10 @@ def test_sheet_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
         "replicates": SAMPLE_BLOCK_ROWS + 17,
         "seed": {"seed": 41, "stream": 2},
     })
-    code, _, _ = run_cli(["sheet", "--config", cfg, "--csv", str(tmp_path / "here.csv"),
-                          "--json", str(tmp_path / "here.json")], capsys)
-    assert code == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "siou", "sheet", "--config", cfg, "--csv", str(tmp_path / "alone.csv"),
-         "--json", str(tmp_path / "alone.json")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
-    assert proc.returncode == 0, proc.stderr
+    for threads in (1, 2):
+        _run_at_blas_threads("sheet", cfg, tmp_path / f"t{threads}", threads)
     for ext in ("csv", "json"):
-        assert (tmp_path / f"here.{ext}").read_bytes() == (tmp_path / f"alone.{ext}").read_bytes()
+        assert (tmp_path / f"t1.{ext}").read_bytes() == (tmp_path / f"t2.{ext}").read_bytes()
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

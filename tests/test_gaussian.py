@@ -1,11 +1,15 @@
 """Factorization, seeded sampling and conditioning of dense Gaussians."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from siou import gaussian
 from siou.errors import NotPSDError
 from siou.gaussian import SAMPLE_BLOCK_ROWS, GaussianSpec, RngSeed, conditional, factorize, sample
 from siou.geometry import Corner
@@ -145,6 +149,70 @@ def test_factorize_zero_pivot_with_off_diagonal_weight_is_not_deflated():
     L, jitter = factorize(cov)
     assert jitter > 0.0
     assert L[0, 0] > 0.0
+
+
+def _openblas():
+    """numpy's OpenBLAS thread-count calls, or a skip where numpy runs on another BLAS."""
+    if gaussian._OPENBLAS is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    return gaussian._OPENBLAS
+
+
+def test_numpy_openblas_thread_calls_are_found():
+    # Where numpy is built on OpenBLAS the one-thread scope must reach its pool,
+    # not fall back to doing nothing.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" in blas.lower():
+        assert gaussian._OPENBLAS is not None
+
+
+def test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool():
+    # OpenBLAS's LAPACK factors this 144-row deflated Gram differently at 1 and 2 threads.
+    get, put = _openblas()
+    cov = point_started_gram(12).cov
+    before = get()
+    try:
+        put(1)
+        alone, _ = factorize(cov)
+        put(2)
+        pooled, _ = factorize(cov)
+        restored = get()
+    finally:
+        put(before)
+    assert restored == 2
+    assert pooled.tobytes() == alone.tobytes()
+
+
+def test_one_blas_thread_scopes_hold_and_restore_the_pool_across_python_threads():
+    # The pool is process-wide: while any scope is open it reads 1, and the last one to close restores it.
+    get, put = _openblas()
+    before = get()
+    seen = []
+
+    def work():
+        for _ in range(300):
+            with gaussian._one_blas_thread():
+                with gaussian._one_blas_thread():
+                    time.sleep(0)  # hand the interpreter to another worker inside the scope
+                    seen.append(get())
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    workers = [threading.Thread(target=work) for _ in range(8)]
+    try:
+        put(2)
+        sys.setswitchinterval(1e-6)
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        after = get()
+    finally:
+        sys.setswitchinterval(interval)
+        put(before)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == [1] * (8 * 300 * 2)
+    assert after == 2
 
 
 @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_ROWS + 1, 20_000])

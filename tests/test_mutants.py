@@ -19,6 +19,7 @@ from hypothesis import Phase, given, settings
 from siou import gaussian, geometry, sheet, simulator
 from test_geometry import path_families
 from test_gaussian import test_factorize_deflates_a_duplicated_corner_onto_its_first_copy as duplicated_corner
+from test_gaussian import test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool as two_thread_pool
 from test_geometry import test_tuple_path_matches_array_path as tuple_property
 from test_sheet import test_points_sharing_a_support_are_deflated_without_jitter as shared_support
 from test_simulator import (
@@ -56,6 +57,9 @@ MUTANTS = (
            ("test_points_sharing_a_support_are_deflated_without_jitter",)),
     Mutant("repeat_left_zero", gaussian, "factorize", "return low[owner], 0.0", "return low, 0.0",
            ("test_factorize_deflates_a_duplicated_corner_onto_its_first_copy",)),
+    # factorize leaves OpenBLAS at the thread count it finds, so LAPACK's factor follows that count.
+    Mutant("two_thread_factor", gaussian, "factorize", "_one_blas_thread()", "contextlib.nullcontext()",
+           ("test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool",)),
 )
 
 CHECKS = {
@@ -65,6 +69,7 @@ CHECKS = {
     "test_points_sharing_a_support_are_deflated_without_jitter":
         lambda: [shared_support(steep, stationary) for steep in (1.0, 40.0) for stationary in (False, True)],
     "test_factorize_deflates_a_duplicated_corner_onto_its_first_copy": duplicated_corner,
+    "test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool": two_thread_pool,
 }
 
 

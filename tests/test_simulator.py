@@ -5,7 +5,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +319,37 @@ def test_simulate_exact_holds_its_output_plus_one_block(initial):
         tracemalloc.stop()
     block = SAMPLE_BLOCK_ROWS * len(pl.corners) * 8
     assert peak < path.values.nbytes + block + 4 * n * 8
+
+
+# Digests of a point-started simulate_exact run on the 12x12 quarter grid
+# (145 corners, 4,096 + 811 replicates) and of factorize on its Gram.
+_ORACLE_DIGESTS = """
+import hashlib, math
+from siou.gaussian import RngSeed, factorize
+from siou.geometry import Corner
+from siou.kernel import KernelParams, cov_matrix
+from siou.measures import MeasureSpec
+from siou.simulator import InitialLaw, plan, simulate_exact
+
+params = KernelParams(1.0, math.sqrt(2.0), MeasureSpec.lebesgue())
+pl = plan([Corner((0.25 * i, 0.25 * j)) for i in range(1, 13) for j in range(1, 13)])
+values = simulate_exact(pl, params, InitialLaw.dirac(0.7), 4096 + 811, RngSeed(24)).values
+factor, _ = factorize(cov_matrix(params, pl.corners, v0=0.0))
+print(len(pl.corners), hashlib.sha256(values.tobytes()).hexdigest(), hashlib.sha256(factor.tobytes()).hexdigest())
+"""
+
+
+def test_point_started_exact_draws_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _ORACLE_DIGESTS], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = dict(zip(("corners", "draws", "factor"), proc.stdout.split()))
+    assert digests["1"]["corners"] == "145"
+    assert digests["2"]["factor"] == digests["1"]["factor"]
+    assert digests["2"]["draws"] == digests["1"]["draws"]
 
 
 def test_initial_law_variants():
