@@ -25,17 +25,17 @@ tuples the fold is a ``{coords: net}`` dict; ``min`` returns one of its
 inputs, so both forms give the same meets, nets and order bit for bit.
 
 The maximal rows of a family (a union's extremal representation) come
-from an all-pairs dominance test in :func:`canonicalize`, and from a peel
-by descending coordinate sum (:func:`_maxima`) where there are many rows and
-few maxima, as on each step of a sequential plan. Rows the module has made
-canonical itself become a UnionSet through :func:`_union`, without a second
-validation, and an Increment whose b already lies inside [0, a] keeps it as
-given. An Increment folds its frontier once and keeps it.
+from one peel by descending coordinate sum (:func:`_maxima`), in
+:func:`canonicalize` and on each step of a sequential plan. Rows the
+module has made canonical itself become a UnionSet through :func:`_union`,
+without a second validation, and an Increment whose b already lies inside
+[0, a] keeps it as given. An Increment folds its frontier once and keeps
+it.
 
 One rule decides near values, :func:`_snap`, and :func:`canonicalize`,
 :func:`min_closure` and the planner apply it once to their input. Meets
 take their coordinates from the inputs bit for bit, so everything after
-the snap (grouping, dominance, the peel) compares exactly.
+the snap (grouping, the peel) compares exactly.
 """
 
 from __future__ import annotations
@@ -223,15 +223,8 @@ def _signed_meets(corners) -> list[tuple[tuple[float, ...], int]]:
     return entries
 
 
-def _dominated(rows: np.ndarray) -> np.ndarray:
-    """Whether each of the distinct rows lies componentwise below another."""
-    below = np.all(rows[:, None, :] <= rows[None, :, :], axis=2)
-    np.fill_diagonal(below, False)
-    return below.any(axis=1)
-
-
 def _maxima(rows: np.ndarray) -> np.ndarray:
-    """``rows[~_dominated(rows)]`` for grouped rows, at O(len(rows)) per maximum.
+    """The rows of grouped (distinct, sorted) rows that lie below no other row, in order, at O(len(rows)) per maximum.
 
     Peels by descending coordinate sum (Kung, Luccio & Preparata 1975): the
     row of largest sum still in play is a maximum, and it drops every row it
@@ -242,7 +235,7 @@ def _maxima(rows: np.ndarray) -> np.ndarray:
     cols = np.ascontiguousarray(rows[::-1].T)  # reversed for the ties; column-wise compares are several times faster
     sums = cols.sum(axis=0)
     keep = np.zeros(len(rows), dtype=bool)
-    while sums[j := int(np.argmax(sums))] > -np.inf:
+    while sums.size and sums[j := int(np.argmax(sums))] > -np.inf:
         sums[np.all(cols <= cols[:, j, None], axis=0)] = -np.inf
         keep[j] = True
     return rows[keep[::-1]]
@@ -300,8 +293,7 @@ def canonicalize(corners) -> UnionSet:
         # A column with a near pair goes the array route, so _snap stays the one near-value rule.
         if not any(0.0 < y - x <= GEOM_ATOL for col in zip(*rows) for x, y in pairwise(sorted({0.0, *col}))):
             return _union(sorted(r for r in rows if not any(r != s and all(map(operator.le, r, s)) for s in rows)))
-    rows, _ = _group(_snap(_as_rows(cs)))
-    return _union(map(tuple, rows[~_dominated(rows)].tolist()))
+    return _union(map(tuple, _maxima(_group(_snap(_as_rows(cs)))[0]).tolist()))
 
 
 @dataclass(frozen=True)

@@ -200,16 +200,20 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
 
     Zero-variance steps contribute exactly their conditional mean. The
     output is deterministic given (plan, params, initial, replicates,
-    seed): draws are consumed origin first, then one batch of
-    ``replicates`` normals per step in plan order.
+    seed): the stream is consumed one block of ``SAMPLE_BLOCK_ROWS``
+    replicates at a time (the last may be shorter), and within a block
+    the origin values come first, then one batch of the block's length
+    per step in plan order. So a run of a whole number of blocks is the
+    first rows of every longer run with the same seed.
 
-    Each column is filled ``SAMPLE_BLOCK_ROWS`` replicates at a time in a
-    reused buffer: the block's normals are drawn into it and scaled by the
-    conditional standard deviation, then each parent column times its
-    weight is added in frontier order, through a second reused buffer. So
-    the sampler holds its C-ordered ``(replicates, corners)`` output plus
-    two blocks, and its values are the same fixed-order sum over whole
-    columns, ``sqrt(var) * z + w_1 x_1 + w_2 x_2 + ...``, with no BLAS call.
+    A block is worked in a reused ``(corners, block rows)`` array, one
+    contiguous row per corner: the step's normals are drawn into its row
+    and scaled by the conditional standard deviation, then each parent's
+    row times its weight is added in frontier order, through a reused
+    buffer. The block reaches the C-ordered ``(replicates, corners)``
+    output in one transposed copy, so the sampler holds its output plus
+    one block, and its values are the fixed-order sum ``sqrt(var) * z +
+    w_1 x_1 + w_2 x_2 + ...``, with no BLAS call.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
@@ -218,20 +222,18 @@ def simulate(pl: Plan, params: KernelParams, initial: InitialLaw, replicates: in
     gen = seed.generator()
     n = replicates
     values = _empty((n, len(pl.corners)))
-    starts = range(0, n, SAMPLE_BLOCK_ROWS)
-    for start in starts:
-        values[start : start + SAMPLE_BLOCK_ROWS, 0] = initial.draw(gen, min(n - start, SAMPLE_BLOCK_ROWS))
-    z_buf, term_buf = np.empty(min(n, SAMPLE_BLOCK_ROWS)), np.empty(min(n, SAMPLE_BLOCK_ROWS))
-    for step, tp in zip(pl.steps, transitions):
-        scale = math.sqrt(tp.variance)
-        for start in starts:
-            block = values[start : start + SAMPLE_BLOCK_ROWS]
-            z, term = z_buf[: len(block)], term_buf[: len(block)]
+    work, term_buf = np.empty((len(pl.corners), min(n, SAMPLE_BLOCK_ROWS))), np.empty(min(n, SAMPLE_BLOCK_ROWS))
+    for start in range(0, n, SAMPLE_BLOCK_ROWS):
+        rows = min(n - start, SAMPLE_BLOCK_ROWS)
+        block, term = work[:, :rows], term_buf[:rows]
+        block[0] = initial.draw(gen, rows)
+        for step, tp in zip(pl.steps, transitions):
+            z = block[step.index]
             gen.standard_normal(out=z)
-            z *= scale
+            z *= math.sqrt(tp.variance)
             for (_, w), p in zip(tp.weights, step.parents):
-                z += np.multiply(block[:, p], w, out=term)
-            block[:, step.index] = z
+                z += np.multiply(block[p], w, out=term)
+        values[start : start + rows] = block.T
     return SamplePath(pl.corners, values, params, initial, seed, transitions)
 
 
@@ -248,7 +250,7 @@ def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicate
     closed-form covariance s * exp(-lambda m(U sym-diff V)) - s *
     exp(-lambda (m(U) + m(V))), s = sigma^2/(2 lambda)
     (:func:`~siou.kernel.cov_matrix` with v0 = 0). Draws are consumed
-    origin first, as in :func:`simulate`, then Z as
+    every replicate's origin first, then Z as
     :func:`~siou.gaussian.sample` draws it, from the same stream; a dirac
     start draws nothing for X_0. The decayed origin is added
     ``SAMPLE_BLOCK_ROWS`` rows at a time, so the sampler holds its output,

@@ -310,7 +310,7 @@ def test_verify_stdout_is_json_when_no_path(capsys):
 
 # SHA-256 of the `siou verify --suite deterministic --seed 7 --json` report.
 # Any change in a check's draws, statistic, label or order changes it.
-GOLDEN_VERIFY_DETERMINISTIC = "592c959b738600876c4f9b2f495b484d3b8dfbaa54ccb6fbf3775b8ec90e4aad"
+GOLDEN_VERIFY_DETERMINISTIC = "b833380aa9e8ab8fe9ea921ca4de506fc7a6d95a86d0e6c4f7f9eea0c026f194"
 
 
 def test_verify_report_matches_golden_digest(tmp_path, capsys):
@@ -581,7 +581,7 @@ GOLDEN_SAMPLE = {
             "replicates": 300,
             "seed": 11,
         },
-        "cb02c62f43f44e6893f436d389b833e8a6231821c931dd8aef56bf9533326593",
+        "ab8891cf498a08b86e7c75c66954e309c43fd402daa1b2da5388c3c1cb8b84f7",
         "e74d5cb30de3e968128ed50b6ea36ec676b2a933cc4b4538b06124271a05caf4",
     ),
     "axis_3d_normal": (
@@ -594,7 +594,7 @@ GOLDEN_SAMPLE = {
             "replicates": 300,
             "seed": {"seed": 5, "stream": 2},
         },
-        "15bbb9a42c1e75baa3b4d06e32dbce6ba818f9a298a9bcb0dc9f0a2a33197e06",
+        "25535adfddb54c4697b24984e73e149461c97cf9896d062ce7fc01e4f753067c",
         "d63679c5a84e31854a4e53eed68d97d568c83411d09acaa232d796fccca0ec8f",
     ),
     # The 12 x 12 quarter grid: a 145-corner plan whose frontiers all come from the fold.
@@ -606,7 +606,7 @@ GOLDEN_SAMPLE = {
             "replicates": 50,
             "seed": 23,
         },
-        "7b8469c2bfd0c843459f225f07dfd54a3aa9941e9a4cba54e711776a150789a2",
+        "4977fe05c430f03e88433e4b8e056008beb8881576f76c6a1a97b74568807c2d",
         "3bcf4a6eb57cdfad96bf311fad8d9ccf4762947530d5ac14c4dbf76f275ee9cd",
     ),
 }
@@ -637,8 +637,8 @@ GOLDEN_SHEET = {
             "replicates": 150,
             "seed": 31,
         },
-        "d6af811109bf2016d28707c4bdc6810949c3b3749a4d655c39664a19537169d3",
-        "8a46a501e5e780156f790cebb76babf32dcdd06d2b8301abec371642d6c81d15",
+        "0fabd56a84834db32f2289cb2c5f15bd6ecc1cf61c63c0f2f047a66d7ae2d81b",
+        "79d8e195013b06c852241352a83f46a9574a1b7066329cecee951e4c285102db",
     ),
     "stationary_1d": (
         {
@@ -650,8 +650,8 @@ GOLDEN_SHEET = {
             "replicates": 150,
             "seed": {"seed": 7, "stream": 3},
         },
-        "6781ab5014087f2d277c734ea34d20a5c1e8d3562e64442394d59aaa63a69259",
-        "10af6868f1476ded157138a627391fe6fbb5857f70ca266821ee5d406694d0c9",
+        "966d1f398c4867cc181ef3fe18fbe86479ef1b9899b14b4edbc5e459e8edbce3",
+        "a86c41495930e36772f6b710bda3f6efe78008f90abfea3a69758c82cb41c286",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Corner arithmetic, canonical unions, min-closures and signed frontiers."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -86,11 +87,41 @@ def test_union_set_rejects_near_values():
     assert canonicalize(corners((5e-13, 1))).to_json() == [[0.0, 1.0]]
 
 
+def _dominated(rows):
+    """Whether each of the distinct rows lies componentwise below another, by an all-pairs ``(k, k, N)`` test."""
+    below = np.all(rows[:, None, :] <= rows[None, :, :], axis=2)
+    np.fill_diagonal(below, False)
+    return below.any(axis=1)
+
+
 def test_maxima_breaks_ties_of_rounded_sums():
     # 2e4 + 1.1e-12 rounds to 2e4, so the upper row ties with the one it dominates.
     rows = np.array([[2e4, 0.0], [2e4, 1.1e-12]])
     assert rows[0].sum() == rows[1].sum()
-    assert geometry._maxima(rows).tolist() == rows[~geometry._dominated(rows)].tolist() == [[2e4, 1.1e-12]]
+    assert geometry._maxima(rows).tolist() == rows[~_dominated(rows)].tolist() == [[2e4, 1.1e-12]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=40)))
+def test_maxima_are_the_rows_no_other_row_dominates(quarters):
+    rows, _ = geometry._group(0.25 * np.array(quarters, dtype=float))
+    assert geometry._maxima(rows).tolist() == rows[~_dominated(rows)].tolist()
+
+
+def test_canonicalize_of_a_large_antichain_holds_no_pairwise_table():
+    # 3,000 antichain corners, each with a corner just below it: the all-pairs test held 108 MB here.
+    k = 3000
+    anti = [Corner((0.25 * i, 0.25 * (k + 1 - i))) for i in range(1, k + 1)]
+    below = [Corner((0.25 * i, 0.25 * (k - i))) for i in range(1, k)]
+    canonicalize(anti[:20])  # a first call may import modules, which tracemalloc would count
+    tracemalloc.start()
+    try:
+        u = canonicalize(below + anti)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.corners == tuple(anti)
+    assert peak < k * k  # one (k, k) boolean table
 
 
 def test_mixed_dimensions_rejected():

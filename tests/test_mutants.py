@@ -22,9 +22,12 @@ from test_gaussian import test_factorize_deflates_a_duplicated_corner_onto_its_f
 from test_gaussian import test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool as two_thread_pool
 from test_geometry import test_tuple_path_matches_array_path as tuple_property
 from test_sheet import test_points_sharing_a_support_are_deflated_without_jitter as shared_support
+from test_simulator import FAMILY, STARTS
 from test_simulator import (
     test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field as skewed_start,
 )
+from test_simulator import test_simulate_matches_dirac_moments as dirac_moments
+from test_simulator import test_simulate_matches_the_one_shot_sampler as one_shot
 
 PROPERTY_BUDGET = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                            phases=(Phase.explicit, Phase.generate))
@@ -52,6 +55,12 @@ MUTANTS = (
     Mutant("gaussian_origin", simulator, "simulate", "initial.draw(gen,",
            "InitialLaw.normal(np.mean(initial.params), np.var(initial.params)).draw(gen,",
            ("test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field",)),
+    # Later blocks keep the first block's origin values, and the stream runs one origin draw short per block.
+    Mutant("origin_first_block_only", simulator, "simulate", "block[0] = initial.draw(gen, rows)",
+           "if start == 0: block[0] = initial.draw(gen, rows)", ("test_simulate_matches_the_one_shot_sampler",)),
+    # Each step forgets its first frontier corner.
+    Mutant("first_parent_dropped", simulator, "simulate", "zip(tp.weights, step.parents)",
+           "zip(tp.weights[1:], step.parents[1:])", ("test_simulate_matches_dirac_moments",)),
     # The sheet counts only the centers strictly below a point, so a point on a center shares a key with one below it.
     Mutant("support_key_below_center", sheet, "_sheet_factor", 'side="right"', 'side="left"',
            ("test_points_sharing_a_support_are_deflated_without_jitter",)),
@@ -66,6 +75,8 @@ CHECKS = {
     "test_tuple_path_matches_array_path":
         lambda: PROPERTY_BUDGET(given(path_families())(tuple_property.hypothesis.inner_test))(),
     "test_both_samplers_decay_a_skewed_empirical_start_onto_the_point_started_field": skewed_start,
+    "test_simulate_matches_the_one_shot_sampler": lambda: one_shot(FAMILY, STARTS[1], 20_000),
+    "test_simulate_matches_dirac_moments": dirac_moments,
     "test_points_sharing_a_support_are_deflated_without_jitter":
         lambda: [shared_support(steep, stationary) for steep in (1.0, 40.0) for stationary in (False, True)],
     "test_factorize_deflates_a_duplicated_corner_onto_its_first_copy": duplicated_corner,

@@ -267,17 +267,26 @@ def test_plan_snaps_coordinates_that_chain_within_tolerance():
 
 
 def _one_shot(pl, params, initial, replicates, seed):
-    """The sampler without blocks: each column is ``sqrt(var) * standard_normal(R) + w_1 x_1 + w_2 x_2 + ...``."""
+    """The sampler without reused buffers, block by block.
+
+    Each block of ``SAMPLE_BLOCK_ROWS`` replicates (the last may be shorter)
+    draws its origin values, then each column as ``sqrt(var) *
+    standard_normal(rows) + w_1 x_1 + w_2 x_2 + ...`` in plan order.
+    """
     gen = seed.generator()
-    values = np.empty((replicates, len(pl.corners)))
-    values[:, 0] = initial.draw(gen, replicates)
-    for step in pl.steps:
-        tp = transition_params(params, step.increment)
-        col = math.sqrt(tp.variance) * gen.standard_normal(replicates)
-        for (_, w), p in zip(tp.weights, step.parents):
-            col += w * values[:, p]
-        values[:, step.index] = col
-    return values
+    blocks = []
+    for start in range(0, replicates, SAMPLE_BLOCK_ROWS):
+        rows = min(SAMPLE_BLOCK_ROWS, replicates - start)
+        values = np.empty((rows, len(pl.corners)))
+        values[:, 0] = initial.draw(gen, rows)
+        for step in pl.steps:
+            tp = transition_params(params, step.increment)
+            col = math.sqrt(tp.variance) * gen.standard_normal(rows)
+            for (_, w), p in zip(tp.weights, step.parents):
+                col += w * values[:, p]
+            values[:, step.index] = col
+        blocks.append(values)
+    return np.vstack(blocks)
 
 
 STARTS = [InitialLaw.dirac(0.7), InitialLaw.normal(0.3, 0.4), InitialLaw.empirical([0.0, 1.0, 3.5])]
@@ -292,6 +301,16 @@ def test_simulate_matches_the_one_shot_sampler(family, initial, replicates):
     path = simulate(pl, P, initial, replicates, RngSeed(17))
     assert path.values.flags.c_contiguous
     np.testing.assert_array_equal(path.values, _one_shot(pl, P, initial, replicates, RngSeed(17)))
+
+
+@pytest.mark.parametrize("initial", STARTS, ids=lambda law: law.kind)
+def test_a_run_of_whole_blocks_is_the_prefix_of_every_longer_run(initial):
+    pl = plan(FAMILY)
+    runs = {n: simulate(pl, P, initial, n, RngSeed(19)).values
+            for n in (SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_ROWS + 1, 2 * SAMPLE_BLOCK_ROWS, 2 * SAMPLE_BLOCK_ROWS + 7)}
+    for j in (1, 2):
+        for n in [n for n in runs if n > j * SAMPLE_BLOCK_ROWS]:
+            np.testing.assert_array_equal(runs[n][: j * SAMPLE_BLOCK_ROWS], runs[j * SAMPLE_BLOCK_ROWS])
 
 
 @pytest.mark.parametrize("initial", STARTS[:2], ids=lambda law: law.kind)
