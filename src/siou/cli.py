@@ -343,11 +343,11 @@ def _cmd_sheet(args) -> int:
         for p in points:
             _check_point(grid, p)
         seed = RngSeed(**vals["seed"])
+        eq = equivalent_kernel_params(alpha, sigma)
     if replicates < 2:
         raise ConfigError(f"sheet replicates must be >= 2 for the empirical covariance, got {replicates}")
     values = batch_paths(grid, alpha, sigma, points, replicates, seed,
                          y0=y0, stationary=(mode == "stationary"))
-    eq = equivalent_kernel_params(alpha, sigma)
     theory = theory_stationary(eq, points) if mode == "stationary" else theory_dirac(eq, points, y0)
     labels = (_csv_field(_corner_label(p.coords)).replace("{", "{{{{").replace("}", "}}}}") for p in points)
     row = "".join(f"{{0}},{label},{{{{!r}}}}\r\n" for label in labels)

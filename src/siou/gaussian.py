@@ -22,11 +22,12 @@ roundoff. Matrices that fail the whole ladder are reported as not positive
 semidefinite together with their most negative eigenvalue (the offending
 pivot scale).
 
-:func:`sample` streams: it draws ``SAMPLE_BLOCK_ROWS`` rows of normals at a
-time and writes their product with the factor straight into the output, so
-it holds the output plus one block.
+:func:`_draw_rows` streams every factor draw (:func:`sample`,
+``simulate_exact``, ``sheet.batch_paths``): it draws ``SAMPLE_BLOCK_ROWS``
+rows of normals at a time and writes their product with the factor straight
+into the output, so it holds the output plus one block.
 
-:func:`factorize`'s LAPACK calls and :func:`sample`'s block products run on
+:func:`factorize`'s LAPACK calls and :func:`_draw_rows`' block products run on
 one OpenBLAS thread, whatever ``OPENBLAS_NUM_THREADS`` says, and the pool's
 count is restored afterwards. LAPACK's factor of a Gram differs in the last
 bits between thread counts, so draws made on the pool's count would follow
@@ -53,7 +54,7 @@ from .errors import NotPSDError
 
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
-# Rows of normals :func:`sample` draws and multiplies at a time.
+# Rows of normals :func:`_draw_rows` draws and multiplies at a time; ``simulate``'s replicate block.
 SAMPLE_BLOCK_ROWS = 4096
 
 # Relative asymmetry above this is a construction bug, not roundoff.
@@ -231,40 +232,42 @@ def factorize(cov) -> tuple[np.ndarray, float]:
 def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
     """n independent draws, one per row, deterministic given the seed.
 
-    The draws are ``mean + z @ L.T`` for one ``(n, d)`` draw z, but z is
-    drawn and multiplied ``SAMPLE_BLOCK_ROWS`` rows at a time straight into
-    the output. Every product has that many rows (or n, if fewer): a short
-    last block keeps the end of the block before it and rewrites those rows.
-    The products run on one OpenBLAS thread (see the module docstring), so
-    the bytes do not depend on the thread count. OpenBLAS rounds a row the
-    same in any product of that shape as in the one-shot product when
-    d <= 256. Above that its rounding follows the product's shape: for
-    n > SAMPLE_BLOCK_ROWS a few draws differ from the one-shot product in
-    the last bit (at d = 290, n = 8200: 2 of 2.4e6 against a one-shot
-    product on one thread, 31 against one on two).
-    Products of fewer rows take another kernel, so for n < SAMPLE_BLOCK_ROWS
-    the draws need not be a longer run's first n rows (n = 1 at d = 2 and 8;
-    n = 1, 2, 3, 7, 64, 100 at d = 145), unlike ``sheet.batch_paths`` rows.
+    The draws are ``mean + z @ L.T`` for one ``(n, d)`` draw z and the
+    :func:`factorize` factor L, made by :func:`_draw_rows`. OpenBLAS rounds
+    a row the same in any product of that loop's shape as in the one-shot
+    product when d <= 256. Above that its rounding follows the product's
+    shape: for n > SAMPLE_BLOCK_ROWS a few draws differ from the one-shot
+    product in the last bit (at d = 290, n = 8200: 2 of 2.4e6 against a
+    one-shot product on one thread, 31 against one on two).
     """
     if n < 0:
         raise ValueError(f"need a nonnegative draw count, got {n}")
-    out = _sample_centered(spec.cov, n, seed.generator())
-    out += spec.mean
-    return out
+    return _draw_rows(factorize(spec.cov)[0], n, seed.generator(), spec.mean)
 
 
-def _sample_centered(cov: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-    """n zero-mean draws with covariance cov from the caller's generator, as :func:`sample` makes them."""
-    L, _ = factorize(cov)
-    out = _empty((n, L.shape[0]))
-    z = np.empty((min(n, SAMPLE_BLOCK_ROWS), L.shape[0]))
+def _draw_rows(factor: np.ndarray, n: int, gen: np.random.Generator, mean) -> np.ndarray:
+    """n rows ``mean + z @ factor.T`` for a ``(d, k)`` factor and standard normals z from ``gen``.
+
+    z is drawn in C order and multiplied ``SAMPLE_BLOCK_ROWS`` rows at a
+    time straight into the output, on one OpenBLAS thread. Every product
+    has that many rows (or n, if fewer): a short last block keeps the end
+    of the block before it and rewrites those rows, ``mean`` included. So
+    a run of whole blocks is the first rows of every longer run of whole
+    blocks, and for d <= 256 of every longer run; above that OpenBLAS
+    rounds a product's last 4-8 rows apart from the same rows inside one.
+    A run shorter than one block takes another OpenBLAS kernel and need not
+    be a prefix (n = 1 at d = 2 and 8; n = 1, 2, 3, 7, 64, 100 at d = 145).
+    """
+    out = _empty((n, factor.shape[0]))
+    z = np.empty((min(n, SAMPLE_BLOCK_ROWS), factor.shape[1]))
     with _one_blas_thread():
         for start in range(0, n, SAMPLE_BLOCK_ROWS):
             fresh = min(len(z), n - start)
             z[: len(z) - fresh] = z[fresh:]
             gen.standard_normal(out=z[len(z) - fresh :])
-            stop = start + fresh
-            np.matmul(z, L.T, out=out[stop - len(z) : stop])
+            window = out[start + fresh - len(z) : start + fresh]
+            np.matmul(z, factor.T, out=window)
+            window += mean
     return out
 
 

@@ -74,6 +74,10 @@ class KernelParams:
             raise InvalidGeometryError(f"lambda must be finite and positive, got {self.lam}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidGeometryError(f"sigma must be finite and positive, got {self.sigma}")
+        s = self.sigma * self.sigma / (2.0 * self.lam)  # sigma**2 would raise OverflowError, not give inf
+        if not (math.isfinite(s) and s > 0):
+            raise InvalidGeometryError(f"lambda {self.lam} and sigma {self.sigma} give the scale "
+                                       f"s = sigma^2 / (2 lambda) = {s}, which must be finite and positive")
 
     @property
     def stationary_variance(self) -> float:

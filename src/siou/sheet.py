@@ -24,7 +24,7 @@ covariance cell volume * W^T W, W holding each support cell's weight at
 each point. A row is the drift plus the Cholesky factor of that
 covariance times at most P standard normals: exactly the midpoint sums
 of a ``sheet_increments`` field in law. Both draw from
-``RngSeed.generator()``, like every other sampler in the package.
+``RngSeed.generator()``, and the rows come from ``gaussian``'s block loop.
 
 Restricted to rectangles [0, t] with t >= 0, the stationary integral is a
 set-indexed OU field in law for the axis measure with weights alpha, unit
@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InvalidGridError, OutOfRangeError
-from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, _empty, _first_copies, factorize
+from .gaussian import RngSeed, _draw_rows, _first_copies, factorize
 from .geometry import Corner
 from .kernel import KernelParams
 from .measures import MeasureSpec
@@ -238,11 +238,18 @@ def equivalent_kernel_params(alpha, sigma: float) -> KernelParams:
     """Set-indexed OU parameters matched by the stationary sheet integral.
 
     Unit mean-reversion rate, axis measure weighted by alpha, and noise
-    scale solving sigma_eff^2 = sigma^2 * 2^(1 - N) / prod(alpha).
+    scale solving sigma_eff^2 = sigma^2 * 2^(1 - N) / prod(alpha); an
+    InvalidGridError when prod(alpha) is 0 or sigma_eff is not finite.
     """
     a = _check_alpha(alpha)
     sigma = _check_sigma(sigma)
-    sigma_eff = math.sqrt(sigma**2 * 2.0 ** (1 - a.size) / float(a.prod()))
+    try:
+        sigma_eff = math.sqrt(sigma**2 * 2.0 ** (1 - a.size) / float(a.prod()))
+    except (OverflowError, ZeroDivisionError):
+        sigma_eff = math.inf
+    if not math.isfinite(sigma_eff):
+        raise InvalidGridError(f"alpha {tuple(a.tolist())} and sigma {sigma} have no finite matched kernel: "
+                               f"prod(alpha) = {float(a.prod())}, sigma_eff = {sigma_eff}")
     return KernelParams(lam=1.0, sigma=sigma_eff, measure=MeasureSpec.axis(tuple(a)))
 
 
@@ -283,21 +290,14 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
     r-th independent sheet, in law: the drift and covariance of the midpoint
     sums over a ``sheet_increments`` field, from ``_sheet_factor``.
 
-    The rows are ``drift + einsum(z, Gt)`` for one ``(replicates, columns of
-    Gt)`` draw ``z`` from ``seed.generator()`` in C order, ``SAMPLE_BLOCK_ROWS``
-    rows at a time. The BLAS-free product sums each row in the same order at
-    any block length, so a run's first r rows equal any longer run's.
+    The rows are ``drift + z @ Gt.T`` for one ``(replicates, columns of Gt)``
+    draw ``z`` from ``seed.generator()``, made by ``gaussian._draw_rows``: for
+    up to 256 points a run of whole ``SAMPLE_BLOCK_ROWS`` blocks is the first
+    rows of every longer run with the same seed.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")
     if len(points) == 0:
         raise ConfigError("a sheet needs at least one point")
     drift, Gt = _sheet_factor(spec, alpha, sigma, points, y0, stationary)
-    gen = seed.generator()
-    out = _empty((replicates, Gt.shape[0]))
-    for start in range(0, replicates, SAMPLE_BLOCK_ROWS):
-        rows = out[start : start + SAMPLE_BLOCK_ROWS]
-        z = gen.standard_normal((len(rows), Gt.shape[1]))
-        np.einsum("rk,pk->rp", z, Gt, out=rows)
-        rows += drift
-    return out
+    return _draw_rows(Gt, replicates, seed.generator(), drift)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PlanningError
-from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, _empty, _sample_centered
+from .gaussian import SAMPLE_BLOCK_ROWS, RngSeed, _draw_rows, _empty, factorize
 from .geometry import Corner, Frontier, Increment, _as_rows, _group, _maxima, _snap, _union, frontier, min_closure
 from .kernel import KernelParams, TransitionParams, cov_matrix, mean_vector, transition_params
 
@@ -262,7 +262,7 @@ def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicate
     params.measure.check_dim(pl.dim)
     gen = seed.generator()
     x0 = initial.draw(gen, replicates)
-    values = _sample_centered(cov_matrix(params, pl.corners, v0=0.0), replicates, gen)
+    values = _draw_rows(factorize(cov_matrix(params, pl.corners, v0=0.0))[0], replicates, gen, 0.0)
     decay = mean_vector(params, pl.corners, 1.0)
     for start in range(0, replicates, SAMPLE_BLOCK_ROWS):
         blk = slice(start, start + SAMPLE_BLOCK_ROWS)

@@ -252,6 +252,31 @@ def test_sheet_bad_sigma_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("override", [["--lambda", "1e-310", "--sigma", "1"], ["--sigma", "1e200"], ["--sigma", "1e-200"]])
+def test_a_kernel_scale_that_is_not_finite_or_zero_is_a_configuration_error(tmp_path, capsys, override):
+    # s = sigma^2 / (2 lambda) is inf, inf (sigma^2 overflows) and 0 (sigma^2 underflows).
+    code, _, err = run_cli(["sample", "--config", sample_config(tmp_path), *_outputs(tmp_path), *override], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: lambda ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    {"sigma": 1e200},
+    {"grid": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "steps": [4, 4]}, "alpha": [1e-300, 1e-300],
+     "points": [[0.5, 0.5]]},
+], ids=["sigma_squared_overflows", "alpha_product_underflows"])
+def test_sheet_without_a_finite_matched_kernel_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, extra):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("batch_paths ran")
+
+    monkeypatch.setattr("siou.cli.batch_paths", no_draws)
+    code, _, err = run_cli(["sheet", "--config", sheet_config(tmp_path, **extra), *_outputs(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: alpha ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
 def test_sheet_needs_two_replicates(tmp_path, capsys):
     # One replicate leaves the empirical covariance undefined (NaN in the JSON).
     cfg = sheet_config(tmp_path, replicates=1)
@@ -531,7 +556,8 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_sheet_bytes_do_not_depend_on_blas_threads(tmp_path):
     # Four 3-D points, so the covariance passes through LAPACK's Cholesky; one
-    # whole row block and a short one of 17 rows go through the einsum product.
+    # whole row block and an end-anchored one for 17 more rows go through the
+    # one-thread BLAS product.
     cfg = write_config(tmp_path, "sh3.json", {
         "grid": {"lower": [-2.0, -2.0, -2.0], "upper": [1.0, 1.0, 1.0], "steps": [9, 9, 9]},
         "alpha": [1.0, 0.5, 2.0],
@@ -637,8 +663,8 @@ GOLDEN_SHEET = {
             "replicates": 150,
             "seed": 31,
         },
-        "0fabd56a84834db32f2289cb2c5f15bd6ecc1cf61c63c0f2f047a66d7ae2d81b",
-        "79d8e195013b06c852241352a83f46a9574a1b7066329cecee951e4c285102db",
+        "986c04a12884972cb52d8908bda07b185cd551289f6595ff9de1dbfaf7241084",
+        "bcecedf902cdfe7924c79b9a71eba3390e582743bb1b7335118d81fa68a80e5c",
     ),
     "stationary_1d": (
         {
@@ -650,8 +676,8 @@ GOLDEN_SHEET = {
             "replicates": 150,
             "seed": {"seed": 7, "stream": 3},
         },
-        "966d1f398c4867cc181ef3fe18fbe86479ef1b9899b14b4edbc5e459e8edbce3",
-        "a86c41495930e36772f6b710bda3f6efe78008f90abfea3a69758c82cb41c286",
+        "4ddb7fc65b3ed46b4ea3d1ae7f3c9bbe1f4f1919ecc39bfca4cafb201131f4d7",
+        "e79f0ba7d22b0e9172868fe47035f0070dd38be7bd2cc8c3f575a3b5f267262e",
     ),
 }
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siou import geometry
-from siou.errors import DegenerateKernelError, InvalidGeometryError
+from siou.errors import DegenerateKernelError, InvalidGeometryError, SiouError
+from siou.gaussian import RngSeed
 from siou.geometry import Corner, Increment, canonicalize
 from siou.kernel import (
     KernelParams,
@@ -21,11 +22,12 @@ from siou.kernel import (
     transition_params,
 )
 from siou.measures import MeasureSpec, measure_gap, measure_rect, measure_rows, measure_symdiff, measure_symdiffs
-from siou.simulator import plan
+from siou.simulator import InitialLaw, plan, simulate
 
 
 LEB = MeasureSpec.lebesgue()
 P = KernelParams(1.0, math.sqrt(2.0), LEB)
+FAMILY_2D = [(0.5, 0.5), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0)]
 
 
 def union_of(*tuples):
@@ -45,6 +47,34 @@ def test_params_validation():
     with pytest.raises(InvalidGeometryError):
         KernelParams(1.0, -1.0, LEB)
     assert KernelParams(2.0, 2.0, LEB).stationary_variance == 1.0
+    # s = sigma^2 / (2 lambda) must be finite and positive too.
+    for lam, sigma in [(1e-310, 1.0), (1.0, 1e200), (1.0, 1e-200), (1e300, 1e-20)]:
+        with pytest.raises(InvalidGeometryError, match=r"lambda .* and sigma .* give the scale s = "):
+            KernelParams(lam, sigma, LEB)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+def test_any_kernel_scale_gives_finite_values_or_a_siou_error(log_lam, log_sigma):
+    # lambda and sigma log-uniform over [1e-300, 1e300].
+    try:
+        params = KernelParams(10.0**log_lam, 10.0**log_sigma, LEB)
+    except SiouError:
+        return
+    pl = plan(FAMILY_2D)
+    calls = {
+        "cov_matrix": lambda: [cov_matrix(params, FAMILY_2D), cov_matrix(params, FAMILY_2D, v0=0.0)],
+        "transition_params": lambda: [[w for _, w in tp.weights] + [tp.variance]
+                                      for tp in (transition_params(params, step.increment) for step in pl.steps)],
+        "simulate": lambda: [simulate(pl, params, initial, 8, RngSeed(3)).values
+                             for initial in (InitialLaw.dirac(0.7), InitialLaw.normal(0.0, params.stationary_variance))],
+    }
+    for name, call in calls.items():
+        try:
+            values = call()
+        except SiouError:
+            continue
+        assert all(np.all(np.isfinite(v)) for v in values), name
 
 
 def test_stationary_covariance_values():

@@ -21,6 +21,7 @@ from test_geometry import path_families
 from test_gaussian import test_factorize_deflates_a_duplicated_corner_onto_its_first_copy as duplicated_corner
 from test_gaussian import test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool as two_thread_pool
 from test_geometry import test_tuple_path_matches_array_path as tuple_property
+from test_sheet import test_batch_paths_runs_of_whole_blocks_are_prefixes_of_longer_runs as whole_block_prefix
 from test_sheet import test_points_sharing_a_support_are_deflated_without_jitter as shared_support
 from test_simulator import FAMILY, STARTS
 from test_simulator import (
@@ -69,6 +70,9 @@ MUTANTS = (
     # factorize leaves OpenBLAS at the thread count it finds, so LAPACK's factor follows that count.
     Mutant("two_thread_factor", gaussian, "factorize", "_one_blas_thread()", "contextlib.nullcontext()",
            ("test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool",)),
+    # The end-anchored last block rewrites the end of the block before it, but the mean reaches only its fresh rows.
+    Mutant("window_mean_fresh_rows_only", gaussian, "_draw_rows", "window += mean", "out[start : start + fresh] += mean",
+           ("test_batch_paths_runs_of_whole_blocks_are_prefixes_of_longer_runs",)),
 )
 
 CHECKS = {
@@ -79,6 +83,8 @@ CHECKS = {
     "test_simulate_matches_dirac_moments": dirac_moments,
     "test_points_sharing_a_support_are_deflated_without_jitter":
         lambda: [shared_support(steep, stationary) for steep in (1.0, 40.0) for stationary in (False, True)],
+    "test_batch_paths_runs_of_whole_blocks_are_prefixes_of_longer_runs":
+        lambda: [whole_block_prefix(stationary) for stationary in (False, True)],
     "test_factorize_deflates_a_duplicated_corner_onto_its_first_copy": duplicated_corner,
     "test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool": two_thread_pool,
 }
