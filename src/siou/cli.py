@@ -21,14 +21,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _csvpart
+from . import _csvformat
 from .errors import ConfigError, SiouError
 from .gaussian import RngSeed
 from .geometry import Corner, Increment, canonicalize, frontier
@@ -39,8 +38,6 @@ from .simulator import InitialLaw, plan, simulate
 from .verify import run_suite, theory_dirac, theory_stationary
 
 __all__ = ["main"]
-MIN_PART_VALUES = 2**18  # the fewest CSV values worth a helper process: about 0.2 s of repr
-_HELPER = [sys.executable, "-I", "-S", _csvpart.__file__]  # stdlib only, isolated from the environment
 
 
 @contextmanager
@@ -245,35 +242,14 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()
 
 
-def _write_csv(path: str, header: list[str], values: np.ndarray, row: str) -> None:
-    """Write the ``header`` fields and the rows of 2-D ``values`` by ``_csvpart.write_rows`` with ``row``.
+def _write_csv(path: str, header: list[str], values: np.ndarray, labels: list[str] | None = None) -> None:
+    """Write the ``header`` fields and the rows of 2-D ``values``: one line per row, or with ``labels``, one per value.
 
-    Parts after the first, at most one per CPU of ``MIN_PART_VALUES`` or more, go to helpers; none outlives the call.
+    A value line holds its row index, its column's label and the value; see ``_csvformat.write_csv``.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    nrows, ncols = values.shape
-    parts = max(1, min(cpus, values.size // MIN_PART_VALUES))
-    bounds = [nrows * k // parts for k in range(parts + 1)]
     with open(path, "wb") as fh:
         fh.write((",".join(map(_csv_field, header)) + "\r\n").encode("utf-8"))
-        if parts == 1:
-            return _csvpart.write_rows(fh, values.ravel(), ncols, row)
-        import pathlib, shutil, subprocess, tempfile  # only a split CSV uses them
-        with tempfile.TemporaryDirectory() as tmp, ExitStack() as helpers:
-            pathlib.Path(tmp, "row").write_bytes(row.encode("utf-8"))
-            procs = []
-            for k in range(1, parts):
-                values[bounds[k] : bounds[k + 1]].tofile(f"{tmp}/{k}.f64")
-                procs.append(helpers.enter_context(
-                    subprocess.Popen([*_HELPER, tmp, str(k), str(ncols), str(bounds[k])], stderr=subprocess.PIPE)))
-                helpers.callback(procs[-1].kill)  # runs first on exit; a no-op for a helper already done
-            _csvpart.write_rows(fh, values[: bounds[1]].ravel(), ncols, row)
-            for k, proc in enumerate(procs, 1):
-                err = proc.communicate()[1].decode("utf-8", "replace").strip().splitlines() or ["no message"]
-                if proc.returncode:
-                    raise OSError(f"CSV helper exited with {proc.returncode}: {err[-1]}")
-                with open(f"{tmp}/{k}.csv", "rb") as part:
-                    shutil.copyfileobj(part, fh)
+        _csvformat.write_csv(fh, values, None if labels is None else [_csv_field(label) for label in labels])
 
 
 def _cmd_frontier(args) -> int:
@@ -325,7 +301,7 @@ def _cmd_sample(args) -> int:
     pl = plan(corners)
     path = simulate(pl, params, initial, vals["replicates"], seed)
     labels = [_corner_label(c.coords) for c in path.corners]
-    _write_csv(args.csv, labels, path.values, ",".join(["{{!r}}"] * len(labels)) + "\r\n")
+    _write_csv(args.csv, labels, path.values)
     transitions = [{"index": step.index, **tp.to_json()} for step, tp in zip(pl.steps, path.transitions)]
     payload = {"config": vals, "results": [{"plan": pl.to_json(), "transitions": transitions}]}
     _write_json(args.json, payload)
@@ -349,9 +325,7 @@ def _cmd_sheet(args) -> int:
     values = batch_paths(grid, alpha, sigma, points, replicates, seed,
                          y0=y0, stationary=(mode == "stationary"))
     theory = theory_stationary(eq, points) if mode == "stationary" else theory_dirac(eq, points, y0)
-    labels = (_csv_field(_corner_label(p.coords)).replace("{", "{{{{").replace("}", "}}}}") for p in points)
-    row = "".join(f"{{0}},{label},{{{{!r}}}}\r\n" for label in labels)
-    _write_csv(args.csv, ["replicate", "t", "value"], values, row)
+    _write_csv(args.csv, ["replicate", "t", "value"], values, [_corner_label(p.coords) for p in points])
     emp_mean = values.mean(axis=0)
     emp_cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
     results = [{

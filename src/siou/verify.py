@@ -28,7 +28,7 @@ import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -187,6 +187,12 @@ def _random_measure(gen: np.random.Generator, dim: int) -> MeasureSpec:
     return MeasureSpec.axis(tuple(0.25 * gen.integers(2, 9, size=dim).astype(float)))
 
 
+@cache
+def _level(dim: int, total: int) -> tuple[Corner, ...]:
+    """The corners of {1, 2, 3}^dim (in quarters) whose coordinates sum to ``total`` quarters, in product order."""
+    return tuple(Corner(tuple(0.25 * q for q in c)) for c in itertools.product((1, 2, 3), repeat=dim) if sum(c) == total)
+
+
 def _random_increment(gen: np.random.Generator, dim: int, max_b: int = 5, min_b: int = 0) -> Increment:
     """Random increment on the quarter grid.
 
@@ -197,9 +203,8 @@ def _random_increment(gen: np.random.Generator, dim: int, max_b: int = 5, min_b:
     a = _quarter_corner(gen, dim, 4, 12)
     k = int(gen.integers(min_b, max_b + 1))
     if gen.random() < 0.5:
-        total = int(gen.integers(dim + 1, 2 * dim + 1))
-        level = [c for c in itertools.product((1, 2, 3), repeat=dim) if sum(c) == total]
-        bs = [Corner(tuple(0.25 * q for q in level[i])) for i in gen.integers(0, len(level), size=k)]
+        level = _level(dim, int(gen.integers(dim + 1, 2 * dim + 1)))
+        bs = [level[i] for i in gen.integers(0, len(level), size=k)]
     else:
         bs = [Corner(tuple(0.25 * gen.integers(1, round(c / 0.25) + 1) for c in a.coords)) for _ in range(k)]
     return Increment(a, canonicalize(bs))
@@ -263,8 +268,7 @@ def schur_gap(tp: TransitionParams, gram: np.ndarray) -> float:
     ``gram`` is the covariance of X_a followed by X at tp's weighted corners, in order.
     """
     # One regression of X_a on the frontier block gives the variance and every weight.
-    spec = GaussianSpec(np.zeros(len(tp.weights) + 1), gram)
-    k_t, res = _regression(spec.cov, list(range(1, spec.dim)), [0])
+    k_t, res = _regression(gram, list(range(1, len(gram))), [0])
     worst = abs(float(res[0, 0]) - tp.variance)
     for (_, w), k in zip(tp.weights, k_t[:, 0].tolist()):
         worst = max(worst, abs(k - w))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_readme import CONFIGS as README_CONFIGS
 
-from siou import cli
+from siou import _csvformat, cli
 from siou.cli import main
 from siou.gaussian import SAMPLE_BLOCK_ROWS, RngSeed
 from siou.sheet import GridSpec, batch_paths
@@ -842,13 +842,12 @@ def _special_values(nrows):
 
 
 @pytest.fixture
-def parts(monkeypatch, tmp_path):
-    """Force a CSV split: each call sets the CPU count; every value is worth a part. Temp files go under tmp_path."""
-    monkeypatch.setattr(cli, "MIN_PART_VALUES", 1)
+def blocks(monkeypatch, tmp_path):
+    """Cut the CSV writer's work into blocks: each call sets the values per block. Temp files go under tmp_path."""
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-    return lambda cpus: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return lambda values: monkeypatch.setattr(_csvformat, "BLOCK_VALUES", values)
 
 
 def _no_child_left(tmp_path):
@@ -864,16 +863,18 @@ def _csv_line(fields):
 
 
 @pytest.mark.parametrize("nrows", [1, 1023, 1024, 1025, 3 * 1024 + 7])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_the_csv_bytes_do_not_depend_on_the_split(tmp_path, parts, nrows, cpus):
-    parts(cpus)
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_the_csv_bytes_do_not_depend_on_the_split(tmp_path, blocks, nrows, parts):
+    # The rows are cut into `parts` blocks, and nearly every row holds a value that write_rows formats.
+    blocks(len(SPECIAL) * -(-nrows // parts))
     values = _special_values(nrows)
     wide, long = tmp_path / "wide.csv", tmp_path / "long.csv"
     labels = [f"{c!r},0.5" for c in range(len(SPECIAL))]
-    cli._write_csv(str(wide), labels, values, ",".join(["{{!r}}"] * len(SPECIAL)) + "\r\n")
+    cli._write_csv(str(wide), labels, values)
     want = _csv_line(labels) + "".join(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
     assert wide.read_bytes() == want.encode()
     # The long format, with braces in the labels: one line per value, led by the row index.
+    blocks(3 * -(-nrows // parts))
     _check_long(long, values[:, :3], ["{0},{1}", "}{", "7.5"])
     _no_child_left(tmp_path)
 
@@ -881,16 +882,15 @@ def test_the_csv_bytes_do_not_depend_on_the_split(tmp_path, parts, nrows, cpus):
 def _check_long(path, values, labels):
     """Write ``values`` in sheet's long format through cli._write_csv and compare with a line-by-line reference."""
     fields = [_csv_line([label]).strip() for label in labels]
-    row = "".join(f"{{0}},{f.replace('{', '{{{{').replace('}', '}}}}')},{{{{!r}}}}\r\n" for f in fields)
-    cli._write_csv(str(path), ["replicate", "t", "value"], values, row)
+    cli._write_csv(str(path), ["replicate", "t", "value"], values, labels)
     want = "replicate,t,value\r\n" + "".join(f"{r},{f},{v!r}\r\n" for r, vs in enumerate(values.tolist())
                                               for f, v in zip(fields, vs))
     assert path.read_bytes() == want.encode()
 
 
-def test_a_row_template_past_one_argument_limit_still_splits(tmp_path, parts):
-    # Linux caps one exec argument at 131,072 bytes; the template of 6,000 sheet points is larger.
-    parts(2)
+def test_a_row_template_past_one_argument_limit_still_splits(tmp_path, blocks):
+    # A row of 6,000 sheet points with long labels, wider than a block, is a block of its own.
+    blocks(1)
     values = np.random.default_rng(5).standard_normal((5, 6000))
     labels = [f"{i / 7!r},{i / 3!r}" for i in range(6000)]
     assert len("".join(labels)) > 131_072
@@ -899,8 +899,8 @@ def test_a_row_template_past_one_argument_limit_still_splits(tmp_path, parts):
 
 
 @pytest.mark.parametrize("command, golden", [("sample", GOLDEN_SAMPLE), ("sheet", GOLDEN_SHEET)])
-def test_split_outputs_match_golden_digests_and_leave_no_helper(tmp_path, capsys, parts, command, golden):
-    parts(3)
+def test_split_outputs_match_golden_digests_and_leave_no_helper(tmp_path, capsys, blocks, command, golden):
+    blocks(7)
     for name, (payload, csv_digest, _) in golden.items():
         cfg = write_config(tmp_path, "g.json", payload)
         code, _, err = run_cli([command, "--config", cfg, *_outputs(tmp_path)], capsys)
@@ -909,23 +909,17 @@ def test_split_outputs_match_golden_digests_and_leave_no_helper(tmp_path, capsys
         _no_child_left(tmp_path)
 
 
-def test_a_failing_helper_is_one_error_line(tmp_path, capsys, parts, monkeypatch):
-    parts(2)
-    monkeypatch.setattr(cli, "_HELPER", [sys.executable, "-c", "import sys; sys.exit(3)"])
-    code, _, err = run_cli(["sample", "--config", sample_config(tmp_path), *_outputs(tmp_path)], capsys)
-    assert code == 1
-    assert err.startswith("error: OSError: CSV helper exited with 3")
-    assert err.count("\n") == 1
+def test_sample_and_sheet_start_no_child_process_and_leave_no_temporary_file(tmp_path, capsys, blocks, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    for name in ("fork", "posix_spawn", "posix_spawnp", "system"):
+        monkeypatch.setattr(os, name, refuse, raising=False)
+    monkeypatch.setattr(subprocess.Popen, "__init__", refuse)
+    for command, make_config in (("sample", sample_config), ("sheet", sheet_config)):
+        code, _, err = run_cli([command, "--config", make_config(tmp_path), *_outputs(tmp_path)], capsys)
+        assert code == 0, err
     _no_child_left(tmp_path)
-
-
-def test_one_cpu_starts_no_helper(tmp_path, capsys, parts, monkeypatch):
-    parts(1)
-    calls = []
-    monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: calls.append(a))
-    code, _, _ = run_cli(["sample", "--config", sample_config(tmp_path), *_outputs(tmp_path)], capsys)
-    assert code == 0
-    assert calls == []
 
 
 @pytest.mark.parametrize("command, make_config", [("sample", sample_config), ("sheet", sheet_config)])

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 
 import pytest
 from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from siou import gaussian, geometry, sheet, simulator
+from siou import _csvformat, gaussian, geometry, sheet, simulator
+from test_csvformat import test_random_bit_patterns_match_repr as bit_patterns_property
+from test_csvformat import test_the_edge_values_match_repr as edge_values
 from test_geometry import path_families
 from test_gaussian import test_factorize_deflates_a_duplicated_corner_onto_its_first_copy as duplicated_corner
 from test_gaussian import test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool as two_thread_pool
@@ -73,6 +76,18 @@ MUTANTS = (
     # The end-anchored last block rewrites the end of the block before it, but the mean reaches only its fresh rows.
     Mutant("window_mean_fresh_rows_only", gaussian, "_draw_rows", "window += mean", "out[start : start + fresh] += mean",
            ("test_batch_paths_runs_of_whole_blocks_are_prefixes_of_longer_runs",)),
+    # The CSV formatter breaks a tie between two nearest digit strings toward the odd one.
+    Mutant("ties_to_odd", _csvformat, "_shortest", "((s & _U(1)) == _U(0))", "((s & _U(1)) == _U(1))",
+           ("test_random_bit_patterns_match_repr",)),
+    # Its products are truncated, not rounded to odd, so an inexact product can read as a tie or an interval end.
+    Mutant("truncated_products", _csvformat, "_round_to_odd", " | (((z & _M63) + _M63) >> _U(63))", "",
+           ("test_random_bit_patterns_match_repr",)),
+    # The interval's ends lie a quarter of the float spacing from x, not half.
+    Mutant("interval_half_as_wide", _csvformat, "_interval", "h + _U(1), _U(63) - h", "h, _U(64) - h",
+           ("test_random_bit_patterns_match_repr",)),
+    # Trailing zeros are counted in the last 8 digits only, so a short value keeps zeros after its last digit.
+    Mutant("zeros_in_the_last_word_only", _csvformat, "_digits", " + 8 * (word[:, 1] == _U(0))", "",
+           ("test_the_edge_values_match_repr",)),
 )
 
 CHECKS = {
@@ -87,6 +102,10 @@ CHECKS = {
         lambda: [whole_block_prefix(stationary) for stationary in (False, True)],
     "test_factorize_deflates_a_duplicated_corner_onto_its_first_copy": duplicated_corner,
     "test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool": two_thread_pool,
+    "test_random_bit_patterns_match_repr": lambda: PROPERTY_BUDGET(
+        given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(0.0, 0.2))(
+            bit_patterns_property.hypothesis.inner_test))(),
+    "test_the_edge_values_match_repr": edge_values,
 }
 
 
