@@ -12,21 +12,23 @@ minima of corners, so everything here reduces to corner arithmetic:
   of the union's corners whose inclusion-exclusion coefficients survive
   cancellation, together with those integer nets (+-1 up to two dimensions).
 
-Corner families are held as coordinate tuples when they are small
-(:func:`_small`) and as ``(k, N)`` float arrays otherwise; :class:`Corner`
-appears only at the API boundary. One fold serves the frontier, the union
-measure and the min-closure: it takes the b-corners one at a time and joins
-each corner c to the rows held so far as ``rows + {c} + min(rows, c)``, with
-signed nets ``nets + {+1} + (-nets)``, then merges equal rows and drops rows
-whose net cancels to 0. This is incremental inclusion-exclusion, so the nets
-are the Moebius coefficients of the meet semilattice (Rota 1964), and its
-size is bounded by the rows the fold holds rather than by 2^k subsets. On
-tuples the fold is a ``{coords: net}`` dict; ``min`` returns one of its
-inputs, so both forms give the same meets, nets and order bit for bit.
+A family's b-corners fold into their signed meets on coordinate tuples,
+in a ``{coords: net}`` dict that serves every frontier and union measure:
+it takes the corners one at a time and joins each corner c to the entries
+held so far as ``entries + {c: +1} + {min(r, c): -net(r)}``, then drops the
+entries whose net cancels to 0. This is incremental inclusion-exclusion, so
+the nets are the Moebius coefficients of the meet semilattice (Rota 1964),
+and its size is bounded by the entries the fold holds rather than by 2^k
+subsets. The min-closure folds ``(k, N)`` float arrays the same way,
+without nets, merging equal rows by one lexicographic sort; ``min``
+returns one of its inputs, so every meet is a corner's coordinates bit for
+bit. :class:`Corner` appears only at the API boundary.
 
 The maximal rows of a family (a union's extremal representation) come
 from one peel by descending coordinate sum (:func:`_maxima`), in
-:func:`canonicalize` and on each step of a sequential plan. Rows the
+:func:`canonicalize` and on each step of a sequential plan; canonicalize
+reduces a family of at most SMALL_FAMILY corners by an all-pairs dominance
+test on its coordinate tuples instead, with the same result. Rows the
 module has made canonical itself become a UnionSet through :func:`_union`,
 without a second validation, and an Increment whose b already lies inside
 [0, a] keeps it as given. An Increment folds its frontier once and keeps
@@ -56,8 +58,9 @@ GEOM_ATOL = 1e-12
 # most 2^i - 1 rows, so every family of up to 20 corners fits.
 MAX_EXPANSION_ROWS = 2**20
 
-# Families of up to this many corners take the tuple path: its fold is 2-12x
-# faster than the array fold up to 8 corners, and slower from 12-16 in 3-D and 4-D.
+# Families of up to this many corners take canonicalize's tuple route. Its
+# all-pairs dominance test is 2-5x faster than the array route at 4-16
+# corners, but its cost grows with the square of the corners.
 SMALL_FAMILY = 8
 
 __all__ = [
@@ -136,11 +139,6 @@ def _corner(coords: tuple[float, ...]) -> Corner:
     return c
 
 
-def _small(k: int) -> bool:
-    """Whether a family of k corners takes the tuple path: few corners, and a fold the cap cannot stop."""
-    return k <= SMALL_FAMILY and 2**k - 1 <= MAX_EXPANSION_ROWS
-
-
 def _snap(rows: np.ndarray) -> np.ndarray:
     """Rows with each column's near values merged: the one tolerance rule of the module.
 
@@ -164,56 +162,48 @@ def _snap(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group(rows: np.ndarray, nets: np.ndarray | None = None):
-    """Sort rows lexicographically and merge equal rows, summing their nets."""
+def _group(rows: np.ndarray) -> np.ndarray:
+    """Rows sorted lexicographically, equal rows merged into the first of them."""
     if len(rows) == 0:
-        return rows, nets
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = functools.reduce(np.logical_or, [c[1:] != c[:-1] for c in rows.T])
-    starts = np.flatnonzero(first)
-    if nets is not None:
-        nets = np.add.reduceat(nets[order], starts)
-    return rows[starts], nets
+    return rows[first]
 
 
-def _fold(corners: np.ndarray, rows: np.ndarray, nets: np.ndarray | None = None):
-    """Join the corners one at a time to ``rows``: each corner, and its meet with every row.
+def _check_step(i: int, k: int, held) -> None:
+    """Raise ComplexityError if step i of a k-corner fold, which joins a corner to ``held``, would pass the cap."""
+    if (size := 2 * len(held) + 1) > MAX_EXPANSION_ROWS:
+        raise ComplexityError(f"corner {i + 1} of {k} would expand to {size} meets (cap {MAX_EXPANSION_ROWS})")
 
-    With ``nets`` the fold is signed inclusion-exclusion: a corner enters
-    with +1 and each meet with minus the net of its row; rows whose net
-    cancels to 0 are dropped, since all their later meets cancel too.
-    Without, it is the closure of ``rows`` and the corners under minima.
+
+def _fold(corners: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Close ``rows`` and the corners under minima: join the corners one at a time, each with its meet with every row.
+
     Meets take their coordinates from the inputs, so equal meets are equal
     bit for bit and grouping merges exactly. Each step checks
-    MAX_EXPANSION_ROWS before it allocates.
+    MAX_EXPANSION_ROWS (:func:`_check_step`) before it allocates.
     """
     for i, c in enumerate(corners):
-        size = 2 * len(rows) + 1
-        if size > MAX_EXPANSION_ROWS:
-            raise ComplexityError(f"corner {i + 1} of {len(corners)} would expand to {size} meets (cap {MAX_EXPANSION_ROWS})")
-        rows = np.concatenate([rows, c[None, :], np.minimum(rows, c)])
-        if nets is not None:
-            nets = np.concatenate([nets, [1], -nets])
-        rows, nets = _group(rows, nets)
-        if nets is not None:
-            rows, nets = rows[nets != 0], nets[nets != 0]
-    return rows, nets
+        _check_step(i, len(corners), rows)
+        rows = _group(np.concatenate([rows, c[None, :], np.minimum(rows, c)]))
+    return rows
 
 
 def _signed_meets(corners) -> list[tuple[tuple[float, ...], int]]:
     """Meets of the corners with nonzero inclusion-exclusion nets, as ``(coords, net)`` in lexicographic order.
 
-    The tuple fold visits the rows held in sorted order and takes c's value
-    on ties, as the array fold does, so equal meets keep the same bits.
+    The one signed fold, on a ``{coords: net}`` dict: a corner enters with
+    +1 and its meet with each entry held with minus that entry's net, and
+    entries whose net cancels to 0 are dropped, since all their later meets
+    cancel too. ``min`` takes c's value on ties, so a meet keeps the bits of
+    a corner coordinate (-0.0 included). Each step checks MAX_EXPANSION_ROWS
+    (:func:`_check_step`) before it builds.
     """
-    if not _small(len(corners)):
-        rows = _as_rows(corners)
-        rows, nets = _fold(rows, rows[:0], np.zeros(0, dtype=np.int64))
-        return list(zip(map(tuple, rows.tolist()), nets.tolist()))
     entries = []
-    for c in (corner.coords for corner in corners):
+    for i, c in enumerate(corner.coords for corner in corners):
+        _check_step(i, len(corners), entries)
         nets = dict(entries)
         nets[c] = nets.get(c, 0) + 1
         for r, n in entries:
@@ -288,12 +278,12 @@ def canonicalize(corners) -> UnionSet:
     The empty input yields the empty union.
     """
     cs = _checked(corners)
-    if _small(len(cs)):
+    if len(cs) <= SMALL_FAMILY:
         rows = {c.coords: None for c in cs}  # distinct rows, the first of equal ones kept, as _group keeps it
         # A column with a near pair goes the array route, so _snap stays the one near-value rule.
         if not any(0.0 < y - x <= GEOM_ATOL for col in zip(*rows) for x, y in pairwise(sorted({0.0, *col}))):
             return _union(sorted(r for r in rows if not any(r != s and all(map(operator.le, r, s)) for s in rows)))
-    return _union(map(tuple, _maxima(_group(_snap(_as_rows(cs)))[0]).tolist()))
+    return _union(map(tuple, _maxima(_group(_snap(_as_rows(cs)))).tolist()))
 
 
 @dataclass(frozen=True)
@@ -373,7 +363,7 @@ def min_closure(corners) -> list[Corner]:
     rows = _as_rows(corners)
     if len(rows) == 0:
         raise InvalidGeometryError("min_closure needs at least one corner")
-    rows, _ = _fold(_snap(rows), np.zeros((1, rows.shape[1])))
+    rows = _fold(_snap(rows), np.zeros((1, rows.shape[1])))
     # Sums added left to right, as Python's sum() of the coordinates would.
     sums = functools.reduce(np.add, rows.T)
     return [Corner(tuple(r)) for r in rows[np.lexsort([*rows.T[::-1], sums])].tolist()]

@@ -86,6 +86,8 @@ def measure_rows(spec: MeasureSpec, rows) -> np.ndarray:
     a BLAS product, so every entry equals it bit for bit.
     """
     rows = _as_rows(rows)
+    if rows.shape[-1] == 0:
+        raise InvalidGeometryError("an empty corner list has no dimension to measure")
     spec.check_dim(rows.shape[-1])
     return _measure_array(spec, rows)
 

@@ -163,7 +163,7 @@ def plan(corners, tiebreak: str = "lex") -> Plan:
     for i in range(1, len(closed)):
         # b is canonicalize(min(rows[:i], a_i)), from the meets with the generators not >= a_i.
         meets = np.vstack([rows[:1], np.minimum(gens[~np.all(gens >= rows[i], axis=1)], rows[i])])
-        inc = Increment(closed[i], _union(map(tuple, _maxima(_group(meets)[0]).tolist())))
+        inc = Increment(closed[i], _union(map(tuple, _maxima(_group(meets)).tolist())))
         fr = frontier(inc)
         # Frontier corners are meets of generators, so closure corners bit for bit.
         parents = tuple(position.get(c.coords, i) for c in fr.corners)

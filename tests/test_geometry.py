@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siou import geometry
+from siou import geometry, measures
 from siou.errors import ComplexityError, InvalidGeometryError, SiouError
 from siou.geometry import (
     GEOM_ATOL,
@@ -104,7 +104,7 @@ def test_maxima_breaks_ties_of_rounded_sums():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda dim: st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=40)))
 def test_maxima_are_the_rows_no_other_row_dominates(quarters):
-    rows, _ = geometry._group(0.25 * np.array(quarters, dtype=float))
+    rows = geometry._group(0.25 * np.array(quarters, dtype=float))
     assert geometry._maxima(rows).tolist() == rows[~_dominated(rows)].tolist()
 
 
@@ -217,9 +217,19 @@ def quarter_increments(draw):
     return Corner(a), [Corner(tuple(0.25 * q for q in b)) for b in bs]
 
 
+def level_antichain(dim, hi, total, k):
+    """(a, b-corners): the first k points of {1, ..., hi}^dim (in quarters) whose coordinates sum to ``total``."""
+    level = [q for q in itertools.product(range(1, hi + 1), repeat=dim) if sum(q) == total][:k]
+    return Corner((0.25 * (hi + 1),) * dim), [Corner(tuple(0.25 * x for x in q)) for q in level]
+
+
 @settings(max_examples=200, deadline=None)
 @given(quarter_increments())
 @example((Corner((0.75, 0.75, 0.75)), corners((0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5))))
+# Level antichains of more than SMALL_FAMILY corners in 3-D and 4-D, with nets of +-2 and more.
+@example(level_antichain(3, 4, 7, 12))
+@example(level_antichain(4, 3, 6, 10))
+@example(level_antichain(4, 3, 8, 14))
 def test_frontier_matches_brute_force_expansion(case):
     a, bs = case
     inc = Increment(a, canonicalize(bs))
@@ -354,26 +364,31 @@ def test_hundred_corner_antichain_frontier_is_the_closed_form():
 
 
 def test_expansion_guard_raises_before_allocating(monkeypatch):
-    # With a cap of 6 rows the third corner's step (2 * 5 + 1 rows for the
+    # With a cap of 6 rows the third corner's step (2 * 3 + 1 rows for the
     # signed fold, 2 * 4 + 1 for the closure from the origin) must raise
-    # before any step that large is built.
+    # from the cap check, which each step runs on the rows it holds before it
+    # builds anything, so no step larger than the cap is built.
     monkeypatch.setattr(geometry, "MAX_EXPANSION_ROWS", 6)
-    sizes = []
-    group = geometry._group
+    held = []
+    check = geometry._check_step
 
-    def spy(rows, *args, **kwargs):
-        sizes.append(len(rows))
-        return group(rows, *args, **kwargs)
+    def spy(i, k, rows):
+        held.append(len(rows))
+        return check(i, k, rows)
 
-    monkeypatch.setattr(geometry, "_group", spy)
+    monkeypatch.setattr(geometry, "_check_step", spy)
     fam = corners((1, 2, 3), (2, 3, 1), (3, 1, 2))
     inc = Increment(Corner((4.0, 4.0, 4.0)), canonicalize(fam))
-    calls = [lambda: frontier(inc), lambda: measure_union(MeasureSpec.lebesgue(), inc.b), lambda: min_closure(fam)]
-    for call in calls:
-        sizes.clear()
-        with pytest.raises(ComplexityError):
+    calls = [(lambda: frontier(inc), [0, 1, 3]), (lambda: measure_union(MeasureSpec.lebesgue(), inc.b), [0, 1, 3]),
+             (lambda: min_closure(fam), [1, 2, 4])]
+    for call, steps in calls:
+        held.clear()
+        with pytest.raises(ComplexityError, match="corner 3 of 3 would expand to"):
             call()
-        assert sizes and max(sizes) <= 6
+        assert held == steps
+        assert all(2 * n + 1 <= 6 for n in held[:-1]) and 2 * held[-1] + 1 > 6
+
+
 def test_frontier_rejects_bad_sign_values():
     for bad in (0, True, 1.0, 0.5):
         with pytest.raises(InvalidGeometryError, match="nonzero integers"):
@@ -415,8 +430,25 @@ def test_json_round_trip():
     assert {(tuple(e["corner"]), e["sign"]) for e in blob} == frontier_set(fr)
 
 
-# The tuple path (families of up to SMALL_FAMILY corners) against the array
-# path, which every family takes while SMALL_FAMILY is patched below 0.
+# The tuple path against the array path, bit for bit: canonicalize's tuple
+# route (families of up to SMALL_FAMILY corners) against its array route,
+# which every family takes while SMALL_FAMILY is patched below 0, and the
+# signed fold, geometry's {coords: net} dict, against the array signed fold
+# below, the reference for its meets, nets, order and -0.0 zeros.
+
+def _array_signed_meets(corners):
+    """The array signed fold: rows grouped by one lexsort, nets summed by ``reduceat``, zero nets dropped."""
+    rows = np.array([c.coords for c in corners], dtype=float)
+    held, nets = rows[:0], np.zeros(0, dtype=np.int64)
+    for c in rows:
+        held, nets = np.concatenate([held, c[None, :], np.minimum(held, c)]), np.concatenate([nets, [1], -nets])
+        order = np.lexsort(held.T[::-1])
+        held, nets = held[order], nets[order]
+        starts = np.flatnonzero(np.concatenate([[True], np.any(held[1:] != held[:-1], axis=1)]))
+        held, nets = held[starts], np.add.reduceat(nets, starts)
+        held, nets = held[nets != 0], nets[nets != 0]
+    return list(zip(map(tuple, held.tolist()), nets.tolist()))
+
 
 def _bits(cs):
     return [tuple(x.hex() for x in c.coords) for c in cs]
@@ -473,6 +505,8 @@ def _path_outputs(a, fam):
 @given(path_families())
 def test_tuple_path_matches_array_path(case):
     got = _path_outputs(*case)
-    with mock.patch.object(geometry, "SMALL_FAMILY", -1):
+    with (mock.patch.object(geometry, "SMALL_FAMILY", -1),
+          mock.patch.object(geometry, "_signed_meets", _array_signed_meets),
+          mock.patch.object(measures, "_signed_meets", _array_signed_meets)):
         want = _path_outputs(*case)
     assert got == want

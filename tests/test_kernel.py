@@ -23,6 +23,7 @@ from siou.kernel import (
 )
 from siou.measures import MeasureSpec, measure_gap, measure_rect, measure_rows, measure_symdiff, measure_symdiffs
 from siou.simulator import InitialLaw, plan, simulate
+from siou.verify import theory_dirac, theory_stationary
 
 
 LEB = MeasureSpec.lebesgue()
@@ -51,6 +52,17 @@ def test_params_validation():
     for lam, sigma in [(1e-310, 1.0), (1.0, 1e200), (1.0, 1e-200), (1e300, 1e-20)]:
         with pytest.raises(InvalidGeometryError, match=r"lambda .* and sigma .* give the scale s = "):
             KernelParams(lam, sigma, LEB)
+
+
+@pytest.mark.parametrize("measure", [LEB, MeasureSpec.axis((1.0, 2.0))], ids=["lebesgue", "axis"])
+def test_an_empty_corner_list_is_a_geometry_error_under_both_measures(measure):
+    params = KernelParams(1.0, math.sqrt(2.0), measure)
+    calls = [lambda: measure_rows(measure, []), lambda: cov_matrix(params, []), lambda: cov_matrix(params, [], v0=0.0),
+             lambda: mean_vector(params, [], 0.7), lambda: theory_stationary(params, []),
+             lambda: theory_dirac(params, [], 0.7)]
+    for call in calls:
+        with pytest.raises(InvalidGeometryError, match="empty corner list"):
+            call()
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
