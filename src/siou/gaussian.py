@@ -23,9 +23,13 @@ semidefinite together with their most negative eigenvalue (the offending
 pivot scale).
 
 :func:`_draw_rows` streams every factor draw (:func:`sample`,
-``simulate_exact``, ``sheet.batch_paths``): it draws ``SAMPLE_BLOCK_ROWS``
-rows of normals at a time and writes their product with the factor straight
-into the output, so it holds the output plus one block.
+``simulate_exact``, ``sheet.batch_paths``): it draws the normals in C order
+and multiplies them ``SAMPLE_BLOCK_ROWS`` rows at a time into an output
+padded to whole blocks, so it holds that output plus one block. The block
+contract: every product has one shape, so with the same seed a run of at
+least one block is the first rows of every longer run, at any width. A
+shorter run is a product of its own length, which OpenBLAS may round
+otherwise (n = 1 at d = 2, 3 and 8; n = 1, 2, 3 and 7 at d = 145).
 
 :func:`factorize`'s LAPACK calls and :func:`_draw_rows`' block products run on
 one OpenBLAS thread, whatever ``OPENBLAS_NUM_THREADS`` says, and the pool's
@@ -73,8 +77,9 @@ class RngSeed:
     def __post_init__(self):
         for name in ("seed", "stream"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= v < 2**64:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < 2**64:
                 raise ValueError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+            object.__setattr__(self, name, int(v))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -233,12 +238,11 @@ def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
     """n independent draws, one per row, deterministic given the seed.
 
     The draws are ``mean + z @ L.T`` for one ``(n, d)`` draw z and the
-    :func:`factorize` factor L, made by :func:`_draw_rows`. OpenBLAS rounds
-    a row the same in any product of that loop's shape as in the one-shot
-    product when d <= 256. Above that its rounding follows the product's
-    shape: for n > SAMPLE_BLOCK_ROWS a few draws differ from the one-shot
-    product in the last bit (at d = 290, n = 8200: 2 of 2.4e6 against a
-    one-shot product on one thread, 31 against one on two).
+    :func:`factorize` factor L, made by :func:`_draw_rows` under the block
+    contract. Past d = 256 OpenBLAS rounds a row by the product's shape, so
+    for n > SAMPLE_BLOCK_ROWS a few draws differ from the one-shot product
+    in the last bit (at d = 290, n = 8,200: 15 of 2.4e6 against it on one
+    thread, 31 on two).
     """
     if n < 0:
         raise ValueError(f"need a nonnegative draw count, got {n}")
@@ -248,27 +252,18 @@ def sample(spec: GaussianSpec, n: int, seed: RngSeed) -> np.ndarray:
 def _draw_rows(factor: np.ndarray, n: int, gen: np.random.Generator, mean) -> np.ndarray:
     """n rows ``mean + z @ factor.T`` for a ``(d, k)`` factor and standard normals z from ``gen``.
 
-    z is drawn in C order and multiplied ``SAMPLE_BLOCK_ROWS`` rows at a
-    time straight into the output, on one OpenBLAS thread. Every product
-    has that many rows (or n, if fewer): a short last block keeps the end
-    of the block before it and rewrites those rows, ``mean`` included. So
-    a run of whole blocks is the first rows of every longer run of whole
-    blocks, and for d <= 256 of every longer run; above that OpenBLAS
-    rounds a product's last 4-8 rows apart from the same rows inside one.
-    A run shorter than one block takes another OpenBLAS kernel and need not
-    be a prefix (n = 1 at d = 2 and 8; n = 1, 2, 3, 7, 64, 100 at d = 145).
+    Each whole block of z is multiplied into its own rows of the padded
+    output on one OpenBLAS thread; the first n rows are returned.
     """
-    out = _empty((n, factor.shape[0]))
     z = np.empty((min(n, SAMPLE_BLOCK_ROWS), factor.shape[1]))
+    out = _empty((-(-n // SAMPLE_BLOCK_ROWS) * len(z), factor.shape[0]))
     with _one_blas_thread():
         for start in range(0, n, SAMPLE_BLOCK_ROWS):
-            fresh = min(len(z), n - start)
-            z[: len(z) - fresh] = z[fresh:]
-            gen.standard_normal(out=z[len(z) - fresh :])
-            window = out[start + fresh - len(z) : start + fresh]
-            np.matmul(z, factor.T, out=window)
-            window += mean
-    return out
+            rows = out[start : start + len(z)]
+            gen.standard_normal(out=z)
+            np.matmul(z, factor.T, out=rows)
+            rows += mean
+    return out[:n]
 
 
 def conditional(spec: GaussianSpec, observed_indices, observed_values) -> GaussianSpec:

@@ -70,6 +70,11 @@ class KernelParams:
     measure: MeasureSpec
 
     def __post_init__(self):
+        for name, v in (("lambda", self.lam), ("sigma", self.sigma)):
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise InvalidGeometryError(f"{name} must be a real number, got {v!r}")
+        object.__setattr__(self, "lam", float(self.lam))  # numpy scalars would warn on overflow below
+        object.__setattr__(self, "sigma", float(self.sigma))
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise InvalidGeometryError(f"lambda must be finite and positive, got {self.lam}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):

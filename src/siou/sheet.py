@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InvalidGridError, OutOfRangeError
+from .errors import ConfigError, InvalidGeometryError, InvalidGridError, OutOfRangeError
 from .gaussian import RngSeed, _draw_rows, _first_copies, factorize
 from .geometry import Corner
 from .kernel import KernelParams
@@ -238,19 +238,24 @@ def equivalent_kernel_params(alpha, sigma: float) -> KernelParams:
     """Set-indexed OU parameters matched by the stationary sheet integral.
 
     Unit mean-reversion rate, axis measure weighted by alpha, and noise
-    scale solving sigma_eff^2 = sigma^2 * 2^(1 - N) / prod(alpha); an
-    InvalidGridError when prod(alpha) is 0 or sigma_eff is not finite.
+    scale solving sigma_eff^2 = sigma^2 * 2^(1 - N) / prod(alpha). An
+    InvalidGridError when they make no valid KernelParams: sigma_eff or its
+    scale sigma_eff^2 / 2 is 0 or not finite, as when prod(alpha) or
+    sigma^2 overflows or underflows.
     """
     a = _check_alpha(alpha)
     sigma = _check_sigma(sigma)
+    measure = MeasureSpec.axis(tuple(a))
+    prod = math.prod(a.tolist())  # Python floats: an overflow gives inf without a numpy warning
     try:
-        sigma_eff = math.sqrt(sigma**2 * 2.0 ** (1 - a.size) / float(a.prod()))
+        sigma_eff = math.sqrt(sigma**2 * 2.0 ** (1 - a.size) / prod)
     except (OverflowError, ZeroDivisionError):
         sigma_eff = math.inf
-    if not math.isfinite(sigma_eff):
-        raise InvalidGridError(f"alpha {tuple(a.tolist())} and sigma {sigma} have no finite matched kernel: "
-                               f"prod(alpha) = {float(a.prod())}, sigma_eff = {sigma_eff}")
-    return KernelParams(lam=1.0, sigma=sigma_eff, measure=MeasureSpec.axis(tuple(a)))
+    try:
+        return KernelParams(lam=1.0, sigma=sigma_eff, measure=measure)
+    except InvalidGeometryError:
+        raise InvalidGridError(f"alpha {tuple(a.tolist())} and sigma {sigma} have no valid matched kernel: "
+                               f"prod(alpha) = {prod}, sigma_eff = {sigma_eff}") from None
 
 
 def _sheet_factor(spec: GridSpec, alpha, sigma: float, points, y0: float = 0.0,
@@ -291,9 +296,8 @@ def batch_paths(spec: GridSpec, alpha, sigma: float, points, replicates: int, se
     sums over a ``sheet_increments`` field, from ``_sheet_factor``.
 
     The rows are ``drift + z @ Gt.T`` for one ``(replicates, columns of Gt)``
-    draw ``z`` from ``seed.generator()``, made by ``gaussian._draw_rows``: for
-    up to 256 points a run of whole ``SAMPLE_BLOCK_ROWS`` blocks is the first
-    rows of every longer run with the same seed.
+    draw ``z`` from ``seed.generator()``, made by ``gaussian._draw_rows``
+    under the block contract of the ``gaussian`` module docstring.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")

@@ -251,10 +251,11 @@ def simulate_exact(corners, params: KernelParams, initial: InitialLaw, replicate
     exp(-lambda (m(U) + m(V))), s = sigma^2/(2 lambda)
     (:func:`~siou.kernel.cov_matrix` with v0 = 0). Draws are consumed
     every replicate's origin first, then Z as
-    :func:`~siou.gaussian.sample` draws it, from the same stream; a dirac
-    start draws nothing for X_0. The decayed origin is added
-    ``SAMPLE_BLOCK_ROWS`` rows at a time, so the sampler holds its output,
-    one block and the replicates' origin values.
+    :func:`~siou.gaussian.sample` draws it, from the same stream, under the
+    block contract of the ``gaussian`` module docstring; a dirac start draws
+    nothing for X_0. The decayed origin is added ``SAMPLE_BLOCK_ROWS`` rows
+    at a time, so the sampler holds its output padded to whole blocks, one
+    block and the replicates' origin values.
     """
     if replicates < 1:
         raise ConfigError(f"need at least one replicate, got {replicates}")

@@ -277,6 +277,19 @@ def test_sheet_without_a_finite_matched_kernel_exits_2_before_any_draw(tmp_path,
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("extra, shown", [
+    ({"grid": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "steps": [4, 4]}, "alpha": [1e200, 1e200],
+      "points": [[0.5, 0.5]]}, "alpha (1e+200, 1e+200) and sigma 1.0 have no valid matched kernel: prod(alpha) = inf"),
+    ({"sigma": 1e-200}, "alpha (1.0,) and sigma 1e-200 have no valid matched kernel: prod(alpha) = 1.0"),
+], ids=["alpha_product_overflows", "sigma_squared_underflows"])
+def test_sheet_whose_matched_sigma_is_zero_names_alpha_and_sigma(tmp_path, capsys, extra, shown):
+    # sigma_eff is 0 although the config's sigma is positive; numpy must not warn on the way.
+    code, _, err = run_cli(["sheet", "--config", sheet_config(tmp_path, **extra), *_outputs(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"configuration error: {shown}, sigma_eff = 0.0\n"
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
 def test_sheet_needs_two_replicates(tmp_path, capsys):
     # One replicate leaves the empirical covariance undefined (NaN in the JSON).
     cfg = sheet_config(tmp_path, replicates=1)
@@ -555,8 +568,8 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_sheet_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # Four 3-D points, so the covariance passes through LAPACK's Cholesky; one
-    # whole row block and an end-anchored one for 17 more rows go through the
+    # Four 3-D points, so the covariance passes through LAPACK's Cholesky; two
+    # whole row blocks, the second padded past its 17 rows, go through the
     # one-thread BLAS product.
     cfg = write_config(tmp_path, "sh3.json", {
         "grid": {"lower": [-2.0, -2.0, -2.0], "upper": [1.0, 1.0, 1.0], "steps": [9, 9, 9]},

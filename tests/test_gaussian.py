@@ -1,5 +1,7 @@
 """Factorization, seeded sampling and conditioning of dense Gaussians."""
 
+import itertools
+import json
 import math
 import sys
 import threading
@@ -238,6 +240,18 @@ def test_block_streamed_sample_above_256_corners_stays_within_rounding_of_the_on
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
+def test_runs_of_at_least_one_block_are_prefixes_of_longer_runs_at_300_columns():
+    # Past 256 columns OpenBLAS rounds a product's last rows apart from the
+    # same rows inside a product, so the prefix holds only if every block,
+    # the last one included, is multiplied as a whole block.
+    rng = np.random.default_rng(300)
+    a = rng.standard_normal((300, 300))
+    spec = GaussianSpec(rng.standard_normal(300), a @ a.T / 300 + np.eye(300))
+    runs = {n: sample(spec, n, RngSeed(9)) for n in (SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_ROWS + 17, 2 * SAMPLE_BLOCK_ROWS + 17)}
+    for short, long in itertools.combinations(runs, 2):
+        np.testing.assert_array_equal(runs[long][:short], runs[short], err_msg=f"{short} rows against {long}")
+
+
 def test_block_streamed_sample_holds_one_block_beside_the_output():
     spec = point_started_gram(12)
     sample(spec, 8, RngSeed(1))
@@ -248,6 +262,16 @@ def test_block_streamed_sample_holds_one_block_beside_the_output():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * out.nbytes
+
+
+def test_seed_stores_python_ints_and_rejects_bools():
+    seed = RngSeed(np.int64(5), np.uint8(3))
+    assert type(seed.seed) is int and type(seed.stream) is int
+    assert json.dumps(seed.to_json()) == '{"seed": 5, "stream": 3}'
+    assert seed.child(1) == RngSeed(5, 4)
+    for bad in [(True,), (5, False), (np.True_,)]:
+        with pytest.raises(ValueError, match="must be an integer in"):
+            RngSeed(*bad)
 
 
 def test_sample_reproducible_and_stream_separated():

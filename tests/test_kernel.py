@@ -22,7 +22,8 @@ from siou.kernel import (
     transition_params,
 )
 from siou.measures import MeasureSpec, measure_gap, measure_rect, measure_rows, measure_symdiff, measure_symdiffs
-from siou.simulator import InitialLaw, plan, simulate
+from siou.sheet import GridSpec, batch_paths
+from siou.simulator import InitialLaw, plan, simulate, simulate_exact
 from siou.verify import theory_dirac, theory_stationary
 
 
@@ -54,6 +55,18 @@ def test_params_validation():
             KernelParams(lam, sigma, LEB)
 
 
+def test_params_store_python_floats_and_reject_bools():
+    # numpy scalars are stored as floats, so an overflowing scale raises without a numpy warning.
+    params = KernelParams(np.float64(0.5), np.float32(2.0), LEB)
+    assert type(params.lam) is float and type(params.sigma) is float
+    assert params == KernelParams(0.5, 2.0, LEB)
+    with pytest.raises(InvalidGeometryError, match="give the scale s = "):
+        KernelParams(np.float64(1.0), np.float64(1e200), LEB)
+    for bad in [(True, 1.0), (1.0, np.True_), ("1.0", 1.0), (1.0, None)]:
+        with pytest.raises(InvalidGeometryError, match="must be a real number"):
+            KernelParams(*bad, LEB)
+
+
 @pytest.mark.parametrize("measure", [LEB, MeasureSpec.axis((1.0, 2.0))], ids=["lebesgue", "axis"])
 def test_an_empty_corner_list_is_a_geometry_error_under_both_measures(measure):
     params = KernelParams(1.0, math.sqrt(2.0), measure)
@@ -65,22 +78,34 @@ def test_an_empty_corner_list_is_a_geometry_error_under_both_measures(measure):
             call()
 
 
+FAMILIES = {1: [(0.5,), (1.0,), (2.0,)], 2: FAMILY_2D, 3: [(0.5, 0.5, 0.5), (1.0, 2.0, 1.0), (2.0, 1.0, 1.5), (2.0, 2.0, 2.0)]}
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
-def test_any_kernel_scale_gives_finite_values_or_a_siou_error(log_lam, log_sigma):
-    # lambda and sigma log-uniform over [1e-300, 1e300].
-    try:
-        params = KernelParams(10.0**log_lam, 10.0**log_sigma, LEB)
-    except SiouError:
-        return
-    pl = plan(FAMILY_2D)
+@given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0), st.sampled_from(sorted(FAMILIES)), st.booleans())
+def test_any_kernel_scale_gives_finite_values_or_a_siou_error(log_lam, log_sigma, dim, axis):
+    # lambda and sigma log-uniform over [1e-300, 1e300], both measure kinds,
+    # families in dimensions 1-3; the sheet takes the same sigma.
+    family, alpha = FAMILIES[dim], (1.0, 0.5, 2.0)[:dim]
+    grid = GridSpec((-1.0,) * dim, (2.0,) * dim, (3,) * dim)
     calls = {
-        "cov_matrix": lambda: [cov_matrix(params, FAMILY_2D), cov_matrix(params, FAMILY_2D, v0=0.0)],
-        "transition_params": lambda: [[w for _, w in tp.weights] + [tp.variance]
-                                      for tp in (transition_params(params, step.increment) for step in pl.steps)],
-        "simulate": lambda: [simulate(pl, params, initial, 8, RngSeed(3)).values
-                             for initial in (InitialLaw.dirac(0.7), InitialLaw.normal(0.0, params.stationary_variance))],
+        "batch_paths": lambda: [batch_paths(grid, alpha, 10.0**log_sigma, family, 8, RngSeed(3), y0=0.7,
+                                            stationary=stationary) for stationary in (False, True)],
     }
+    try:
+        params = KernelParams(10.0**log_lam, 10.0**log_sigma, MeasureSpec.axis(alpha) if axis else LEB)
+    except SiouError:
+        params = None
+    if params is not None:
+        pl = plan(family)
+        starts = (InitialLaw.dirac(0.7), InitialLaw.normal(0.0, params.stationary_variance))
+        calls |= {
+            "cov_matrix": lambda: [cov_matrix(params, family), cov_matrix(params, family, v0=0.0)],
+            "transition_params": lambda: [[w for _, w in tp.weights] + [tp.variance]
+                                          for tp in (transition_params(params, step.increment) for step in pl.steps)],
+            "simulate": lambda: [simulate(pl, params, initial, 8, RngSeed(3)).values for initial in starts],
+            "simulate_exact": lambda: [simulate_exact(pl, params, initial, 8, RngSeed(3)).values for initial in starts],
+        }
     for name, call in calls.items():
         try:
             values = call()

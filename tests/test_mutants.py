@@ -23,6 +23,7 @@ from test_csvformat import test_the_edge_values_match_repr as edge_values
 from test_geometry import path_families
 from test_gaussian import test_factorize_deflates_a_duplicated_corner_onto_its_first_copy as duplicated_corner
 from test_gaussian import test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool as two_thread_pool
+from test_gaussian import test_runs_of_at_least_one_block_are_prefixes_of_longer_runs_at_300_columns as prefix_300
 from test_geometry import test_tuple_path_matches_array_path as tuple_property
 from test_sheet import test_batch_paths_runs_of_whole_blocks_are_prefixes_of_longer_runs as whole_block_prefix
 from test_sheet import test_points_sharing_a_support_are_deflated_without_jitter as shared_support
@@ -73,9 +74,10 @@ MUTANTS = (
     # factorize leaves OpenBLAS at the thread count it finds, so LAPACK's factor follows that count.
     Mutant("two_thread_factor", gaussian, "factorize", "_one_blas_thread()", "contextlib.nullcontext()",
            ("test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool",)),
-    # The end-anchored last block rewrites the end of the block before it, but the mean reaches only its fresh rows.
-    Mutant("window_mean_fresh_rows_only", gaussian, "_draw_rows", "window += mean", "out[start : start + fresh] += mean",
-           ("test_batch_paths_runs_of_whole_blocks_are_prefixes_of_longer_runs",)),
+    # The last block multiplies only its fresh rows, as into an output that is not padded to whole blocks.
+    Mutant("short_last_product", gaussian, "_draw_rows", "np.matmul(z, factor.T, out=rows)",
+           "np.matmul(z[: n - start], factor.T, out=rows[: n - start])",
+           ("test_runs_of_at_least_one_block_are_prefixes_of_longer_runs_at_300_columns",)),
     # The CSV formatter breaks a tie between two nearest digit strings toward the odd one.
     Mutant("ties_to_odd", _csvformat, "_shortest", "((s & _U(1)) == _U(0))", "((s & _U(1)) == _U(1))",
            ("test_random_bit_patterns_match_repr",)),
@@ -102,6 +104,7 @@ CHECKS = {
         lambda: [whole_block_prefix(stationary) for stationary in (False, True)],
     "test_factorize_deflates_a_duplicated_corner_onto_its_first_copy": duplicated_corner,
     "test_factorize_gives_the_same_bytes_with_two_blas_threads_in_the_pool": two_thread_pool,
+    "test_runs_of_at_least_one_block_are_prefixes_of_longer_runs_at_300_columns": prefix_300,
     "test_random_bit_patterns_match_repr": lambda: PROPERTY_BUDGET(
         given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(0.0, 0.2))(
             bit_patterns_property.hypothesis.inner_test))(),

@@ -163,6 +163,20 @@ def test_sigma_must_be_finite_and_positive(sigma):
         equivalent_kernel_params((1.0,), sigma)
 
 
+@pytest.mark.parametrize("alpha, sigma, prod, sigma_eff", [
+    ((1e200, 1e200), 1.0, "inf", "0.0"),  # prod(alpha) overflows
+    ((1.0,), 1e-200, "1.0", "0.0"),  # sigma^2 underflows
+    ((1.0,), 2.2e-162, "1.0", "2.2227587494850775e-162"),  # sigma_eff > 0, but its scale sigma_eff^2 / 2 underflows
+    ((1e-300, 1e-300), 1.0, "0.0", "inf"),  # prod(alpha) underflows
+], ids=["alpha_product_overflows", "sigma_squared_underflows", "scale_underflows", "alpha_product_underflows"])
+def test_a_matched_kernel_that_is_no_valid_kernel_names_alpha_and_sigma(alpha, sigma, prod, sigma_eff):
+    # An InvalidGridError, not KernelParams' message about a sigma of 0 the user never gave, and no numpy warning.
+    with pytest.raises(InvalidGridError) as err:
+        equivalent_kernel_params(alpha, sigma)
+    assert str(err.value) == (f"alpha {alpha} and sigma {sigma} have no valid matched kernel: "
+                              f"prod(alpha) = {prod}, sigma_eff = {sigma_eff}")
+
+
 @pytest.mark.parametrize("replicates", [0, -1])
 def test_batch_paths_needs_at_least_one_replicate(replicates):
     with pytest.raises(ConfigError, match=f"need at least one replicate, got {replicates}"):
@@ -432,16 +446,26 @@ def test_points_sharing_a_support_are_deflated_without_jitter(steepness, station
 
 @pytest.mark.parametrize("stationary", [False, True])
 def test_batch_paths_runs_of_whole_blocks_are_prefixes_of_longer_runs(stationary):
-    # Row blocks of SAMPLE_BLOCK_ROWS draws; a short last block is anchored
-    # at the end, so it rewrites the end of the block before it, drift
-    # included. Only whole blocks are promised: OpenBLAS may round a short
-    # product's rows otherwise.
+    # Row blocks of SAMPLE_BLOCK_ROWS draws; a short last block is drawn and
+    # multiplied as a whole block into an output padded to whole blocks, and
+    # the drift is added to each block's own rows.
     block = SAMPLE_BLOCK_ROWS
     longest = batch_paths(GRID_2D, (1.0, 0.5), 0.7, PTS_2D, 3 * block, RngSeed(26), y0=0.2, stationary=stationary)
     for n in (block, 2 * block, 2 * block + 17):
         rows = batch_paths(GRID_2D, (1.0, 0.5), 0.7, PTS_2D, n, RngSeed(26), y0=0.2, stationary=stationary)
         whole = n // block * block
         np.testing.assert_array_equal(rows[:whole], longest[:whole])
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+def test_batch_paths_runs_of_at_least_one_block_are_prefixes_of_longer_runs_at_300_points(stationary):
+    # 300 points past OpenBLAS's 256-column rounding limit (see the gaussian test at 300 columns).
+    grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (24, 24))
+    points = [tuple(p) for p in np.random.default_rng(24).uniform(0.0, 1.0, (300, 2))]
+    runs = {n: batch_paths(grid, (1.0, 0.5), 0.7, points, n, RngSeed(26), y0=0.2, stationary=stationary)
+            for n in (SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_ROWS + 17, 2 * SAMPLE_BLOCK_ROWS + 17)}
+    for short, long in itertools.combinations(runs, 2):
+        np.testing.assert_array_equal(runs[long][:short], runs[short], err_msg=f"{short} rows against {long}")
 
 
 def test_cell_weights_summed_not_squared_fail_the_law():
