@@ -8,16 +8,14 @@ among those, and the even one of two nearest. The Schubfach algorithm
 three round-to-odd products of the value's significand by a 126-bit power
 of ten, here on 32-bit limbs of uint64 arrays. Each value gets a fixed slot
 of bytes that holds every piece its text may need, and one boolean mask per
-block keeps the text's bytes. A row holding any other value (nan, ±inf, a
-subnormal, 0 < |x| < 1e-4, |x| ≥ 1e16) is written by :func:`write_rows`,
-which fills a ``str.format`` template with each value's ``repr``; it is also
-the reference the tests hold the formatter to.
+block keeps the text's bytes. Any other value (nan, ±inf, a subnormal,
+0 < |x| < 1e-4, |x| ≥ 1e16) takes its ``repr`` from Python, written into
+the start of its own slot; the tests hold the writer to ``repr`` itself.
 """
 
 import numpy as np
 
 BLOCK_VALUES = 2**12  # values per block, at least one row; a block takes 350 to 450 bytes a value at its peak
-TEMPLATE_ROWS = 1024  # rows per str.format call in write_rows
 
 _U = np.uint64
 _M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
@@ -145,6 +143,7 @@ def _digits(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # copy from digit p to the last nonzero digit, at least one. p is the decimal point's place: x = 0.d1d2... 10^p.
 _ZEROS, _INT, _POINT, _FRAC, _VALUE = 1, 6, 23, 24, 41
 _P_MIN, _P_MAX = -3, 16
+_FIXED = np.frombuffer(b"-0.000", np.uint8)
 
 
 def _masks() -> np.ndarray:
@@ -162,28 +161,12 @@ _MASKS = _masks()
 _POW10 = _U(10) ** np.arange(1, 17, dtype=_U)
 
 
-def write_rows(fh, values, ncols: int, row: str, first: int = 0) -> None:
-    """Write to binary ``fh`` the floats ``values``, ``ncols`` per row r from ``first``, as ``row.format(r)`` filled:
-    ``{0}`` is r, each ``{{!r}}`` a value's repr, a literal brace four braces; one ``str.format`` per block of rows."""
-    step = TEMPLATE_ROWS * ncols
-    for i in range(0, len(values), step):
-        block = values[i : i + step].tolist()
-        n = len(block) // ncols
-        template = "".join(map(row.format, range(first, first + n))) if "{0}" in row else row.format(0) * n
-        fh.write(template.format(*block).encode("utf-8"))
-        first += n
-
-
-def _escape(text: str) -> str:
-    return text.replace("{", "{{{{").replace("}", "}}}}")
-
-
 class _Slots:
     """One block's byte slots and kept-byte mask for a row layout, reused from block to block.
 
     Each value has a slot: the row index when ``index``, its column's lead
     right-aligned, the value's slot, and its column's tail. The leads, tails
-    and the value slots' fixed bytes are written once.
+    and the value slots' fixed bytes are written once, and again after a ``repr`` covered them.
     """
 
     def __init__(self, rows: int, leads: list[bytes], tails: list[bytes], index: bool):
@@ -195,17 +178,21 @@ class _Slots:
             for start, text in ((self.at - len(lead), lead), (self.at + _VALUE, tail)):
                 self.buf[:, j, start : start + len(text)] = np.frombuffer(text, np.uint8)
                 self.keep[:, j, start : start + len(text)] = True
-        self.buf[..., self.at : self.at + _INT] = np.frombuffer(b"-0.000", np.uint8)
-        self.buf[..., self.at + _POINT] = ord(".")
+        self.buf[..., self.at : self.at + _INT], self.buf[..., self.at + _POINT] = _FIXED, ord(".")
 
     def text(self, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The bytes of the lines of ``block``, whose rows are numbered ``rows``; its values must be in the class.
+        """The bytes of the lines of ``block``, whose rows are numbered ``rows``.
 
-        Until the next call, ``keep`` holds which slot bytes of each row the text kept.
+        A value outside the class is formatted as 0, and then its ``repr``, at
+        most 24 bytes, covers the start of its slot until the text is cut.
         """
         (n, ncols), at = block.shape, self.at
         buf, keep = self.buf[:n], self.keep[:n]
-        bits = block.reshape(-1).view(_U)
+        values = block.reshape(-1)
+        absolute = np.abs(values)
+        outside = ~(((absolute >= 1e-4) & (absolute < 1e16)) | (absolute == 0.0))
+        other = np.flatnonzero(outside)
+        bits = np.where(outside, _U(0), values.view(_U)) if other.size else values.view(_U)  # tables cover the class
         f, k = _shortest(bits)
         short = f < _U(10**16)
         f = np.where(short, f * _U(10), f)  # 17 digits
@@ -225,7 +212,15 @@ class _Slots:
             buf[..., 0] = lead[:, None]
             buf[..., 1:17] = text.view(np.uint8).reshape(n, 1, 16)
             keep[..., :17] = np.arange(17) >= 16 - (r[:, None] >= _POW10).sum(axis=1)[:, None, None]
-        return buf[keep]
+        if other.size:  # numpy's fixed-width bytes truncate silently; a value slot holds any repr
+            reprs = np.array(list(map(repr, values[other].tolist())), f"S{_VALUE}")
+            slots = np.s_[other, at : at + _VALUE]
+            buf.reshape(n * ncols, -1)[slots] = reprs.view(np.uint8).reshape(-1, _VALUE)
+            keep.reshape(n * ncols, -1)[slots] = np.arange(_VALUE) < np.strings.str_len(reprs)[:, None]
+        out = buf[keep]
+        if other.size:
+            buf[..., at : at + _INT], buf[..., at + _POINT] = _FIXED, ord(".")
+        return out
 
 
 def write_csv(fh, values: np.ndarray, labels=None) -> None:
@@ -233,37 +228,16 @@ def write_csv(fh, values: np.ndarray, labels=None) -> None:
 
     A line ends in ``\\r\\n``. Without ``labels``, a row is one line of its
     values joined by commas. With ``labels``, one CSV field per column, each
-    value is one line: its row index, its column's label and the value. The
-    bytes are those of :func:`write_rows`, which writes each row that holds a
-    value outside the formatter's class.
+    value is one line: its row index, its column's label and the value. Each
+    value's text is its ``repr``, written a block of values at a time.
     """
     nrows, ncols = values.shape
     if labels is None:
         index, leads, tails = False, [""] * ncols, [","] * (ncols - 1) + ["\r\n"]
     else:
         index, leads, tails = True, [f",{label}," for label in labels], ["\r\n"] * ncols
-    row = "".join(("{0}" if index else "") + _escape(lead) + "{{!r}}" + _escape(tail)
-                  for lead, tail in zip(leads, tails))
     step = max(1, BLOCK_VALUES // ncols)
     slots = _Slots(min(step, nrows), [s.encode("utf-8") for s in leads], [s.encode("utf-8") for s in tails], index)
     values = np.ascontiguousarray(values, dtype=np.float64)
     for first in range(0, nrows, step):
-        block = values[first : first + step]
-        absolute = np.abs(block)
-        fast = (((absolute >= 1e-4) & (absolute < 1e16)) | (absolute == 0.0)).all(axis=1)
-        if fast.all():
-            fh.write(slots.text(block, np.arange(first, first + len(block))))
-            continue
-        # The rows in the class are formatted together; runs of them alternate with runs that write_rows writes.
-        rows = np.flatnonzero(fast)
-        text = slots.text(block[rows], rows + first)
-        ends = [0, *np.cumsum(slots.keep[: len(rows)].sum(axis=(1, 2))).tolist()]
-        cuts = [0, *(np.flatnonzero(np.diff(fast)) + 1).tolist(), len(fast)]
-        done = 0  # rows of text written
-        for start, stop in zip(cuts, cuts[1:]):
-            if fast[start]:
-                fh.write(text[ends[done] : ends[done + stop - start]])
-                done += stop - start
-            else:
-                write_rows(fh, block[start:stop].ravel(), ncols, row, first + start)
-
+        fh.write(slots.text(values[first : first + step], np.arange(first, min(first + step, nrows))))

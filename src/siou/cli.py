@@ -66,7 +66,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -86,7 +86,10 @@ def _integer(value, name: str) -> int:
 def _real(value, name: str) -> float:
     """A config real number: an int or a float, never a bool or a string, so true is an error, not 1.0."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must fit in a float, got an integer of {value.bit_length()} bits") from None
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 

@@ -70,11 +70,14 @@ class KernelParams:
     measure: MeasureSpec
 
     def __post_init__(self):
-        for name, v in (("lambda", self.lam), ("sigma", self.sigma)):
+        for name, attr in (("lambda", "lam"), ("sigma", "sigma")):
+            v = getattr(self, attr)
             if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
                 raise InvalidGeometryError(f"{name} must be a real number, got {v!r}")
-        object.__setattr__(self, "lam", float(self.lam))  # numpy scalars would warn on overflow below
-        object.__setattr__(self, "sigma", float(self.sigma))
+            try:
+                object.__setattr__(self, attr, float(v))  # numpy scalars would warn on overflow below
+            except OverflowError:
+                raise InvalidGeometryError(f"{name} must fit in a float, got an integer of {v.bit_length()} bits") from None
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise InvalidGeometryError(f"lambda must be finite and positive, got {self.lam}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -129,17 +132,20 @@ def cov_matrix(params: KernelParams, A, B=None, v0: float | None = None) -> np.n
     same, A = B is None or B is A, _as_rows(A)
     B = A if same else _as_rows(B)
     s = params.stationary_variance
-    sym = np.exp(-params.lam * measure_symdiffs(params.measure, A, B))
-    if v0 is None:
-        return s * sym
-    m_A = measure_rows(params.measure, A)
-    both = np.exp(-params.lam * (m_A[:, None] + (m_A if same else measure_rows(params.measure, B))[None, :]))
+    # An exponent that overflows gives weight 0. A measure that overflows (inf, or inf - inf) raises in measure_symdiffs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = np.exp(-params.lam * measure_symdiffs(params.measure, A, B))
+        if v0 is None:
+            return s * sym
+        m_A = measure_rows(params.measure, A)
+        both = np.exp(-params.lam * (m_A[:, None] + (m_A if same else measure_rows(params.measure, B))[None, :]))
     return s * (sym - both) + v0 * both
 
 
 def mean_vector(params: KernelParams, A, mu0: float) -> np.ndarray:
     """Means mu0 * exp(-lambda m(U)) of the field at the corners in A, started from mean mu0."""
-    return mu0 * np.exp(-params.lam * measure_rows(params.measure, A))
+    with np.errstate(over="ignore"):  # an exponent that overflows gives weight 0
+        return mu0 * np.exp(-params.lam * measure_rows(params.measure, A))
 
 
 def cov_stationary(params: KernelParams, u: Corner, v: Corner) -> float:

@@ -113,8 +113,11 @@ class GridSpec:
 
 
 def _axis_centers(spec: GridSpec) -> list[np.ndarray]:
-    """Each axis's cell centers, ascending."""
-    return [lo + (np.arange(s) + 0.5) * w for lo, s, w in zip(spec.lower, spec.steps, spec.cell_widths)]
+    """Each axis's cell centers, ascending; an axis past numpy's size limit raises MemoryError, like one past memory."""
+    try:
+        return [lo + (np.arange(s) + 0.5) * w for lo, s, w in zip(spec.lower, spec.steps, spec.cell_widths)]
+    except (ValueError, OverflowError) as exc:  # "Maximum allowed size exceeded", or a width no float holds
+        raise MemoryError(f"cannot allocate an axis of at least 2^{max(spec.steps).bit_length() - 1} cells: {exc}") from None
 
 
 @lru_cache(maxsize=8)

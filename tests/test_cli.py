@@ -128,6 +128,23 @@ def test_overflowing_measure_is_reported_as_overflow(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("measure, lam, u, v, code, want", [
+    ({"kind": "lebesgue"}, 4.0, [0.5, 1.7e308, 1.0], [0.5, 1.0, 1.0], 0, ""),
+    ({"kind": "axis", "alpha": [1e16, 1.0]}, 1.0, [1.7e308, 1.0], [1.0, 1.0], 1,
+     "error: InvalidGeometryError: symmetric difference came out inf: a rectangle's measure overflows float64\n"),
+    ({"kind": "lebesgue"}, 1.0, [1e200, 1e200], [1e200, 1e200], 1,
+     "error: InvalidGeometryError: symmetric difference came out nan: a rectangle's measure overflows float64\n"),
+], ids=["exponent_gives_weight_zero", "axis_measure_raises", "two_infinite_measures_raise"])
+def test_an_overflow_that_inf_absorbs_prints_no_numpy_warning(tmp_path, capsys, measure, lam, u, v, code, want):
+    # The suite turns warnings into errors, so a numpy overflow warning fails this test.
+    cfg = write_config(tmp_path, "k.json", {"dimension": len(u), "measure": measure, "op": "cov_stationary",
+                                            "kernel": {"lambda": lam, "sigma": 1.0}, "u": u, "v": v})
+    got, out, err = run_cli(["kernel", "--config", cfg], capsys)
+    assert (got, err) == (code, want)
+    if code == 0:
+        assert json.loads(out)["results"][0]["value"] == 0.0
+
+
 def sample_config(tmp_path, **extra):
     return write_config(tmp_path, "s.json", {
         **KERNEL_BASE,
@@ -545,6 +562,19 @@ def test_unallocatable_output_is_one_error_line(tmp_path, capsys, command, make_
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("steps, message", [
+    (1.7976931348623157e308, "at least 2^1023 cells: Maximum allowed size exceeded"),
+    (10**400, "at least 2^1328 cells: int too large to convert to float"),
+], ids=["past_the_size_limit", "no_float_width"])
+def test_a_grid_axis_too_large_to_allocate_is_one_memory_error_line(tmp_path, capsys, steps, message):
+    cfg = sheet_config(tmp_path, grid={"lower": [-6.0], "upper": [1.0], "steps": [steps]})
+    code, out, err = run_cli(["sheet", "--config", cfg, *_outputs(tmp_path)], capsys)
+    assert code == 1
+    assert err == f"error: MemoryError: cannot allocate an axis of {message}\n"
+    assert out == ""
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
 def _run_at_blas_threads(command, cfg, out, threads):
     """Run ``siou <command>`` in a child pinned to the given OpenBLAS thread count; write out.csv and out.json."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -729,6 +759,26 @@ def test_a_non_finite_start_value_is_a_configuration_error(tmp_path, capsys, com
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
 
 
+def _lambda_digits(tmp_path, zeros):
+    """A kernel config whose lambda is the JSON integer 1 followed by ``zeros`` zeros, written as text."""
+    path = Path(kernel_config(tmp_path))
+    path.write_text(path.read_text().replace('"lambda": 1.0', '"lambda": 1' + "0" * zeros))
+    return str(path)
+
+
+@pytest.mark.parametrize("zeros, message", [
+    (400, "lambda must fit in a float, got an integer of 1329 bits"),
+    (5000, "cannot read config {cfg}: Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["too_large_for_a_float", "past_the_digit_limit"])
+def test_a_config_integer_that_no_float_holds_is_a_configuration_error(tmp_path, capsys, zeros, message):
+    cfg = _lambda_digits(tmp_path, zeros)
+    code, out, err = run_cli(["kernel", "--config", cfg, "--json", str(tmp_path / "x.json")], capsys)
+    assert code == 2
+    assert err.startswith(f"configuration error: {message.format(cfg=cfg)}") and err.count("\n") == 1
+    assert out == ""
+    assert not (tmp_path / "x.json").exists()
+
+
 def _top_level_list(make_config):
     def make(tmp_path):
         path = Path(make_config(tmp_path))
@@ -878,7 +928,7 @@ def _csv_line(fields):
 @pytest.mark.parametrize("nrows", [1, 1023, 1024, 1025, 3 * 1024 + 7])
 @pytest.mark.parametrize("parts", [1, 2, 3, 4])
 def test_the_csv_bytes_do_not_depend_on_the_split(tmp_path, blocks, nrows, parts):
-    # The rows are cut into `parts` blocks, and nearly every row holds a value that write_rows formats.
+    # The rows are cut into `parts` blocks, and nearly every row holds a value outside the formatter's class.
     blocks(len(SPECIAL) * -(-nrows // parts))
     values = _special_values(nrows)
     wide, long = tmp_path / "wide.csv", tmp_path / "long.csv"

@@ -1,4 +1,4 @@
-"""The CSV writer's block formatter writes the bytes of its repr template, on bounded memory."""
+"""The CSV writer writes each value's repr, on bounded memory."""
 
 import io
 import math
@@ -19,14 +19,11 @@ EDGES = [0.0, 1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 999999
 
 
 def _oracle(values, labels=None):
-    """The bytes of write_rows's template for ``values``: the writer's reference."""
-    out = io.BytesIO()
+    """The lines of ``values`` from Python's repr, in the wide layout or with ``labels`` the long: the reference."""
+    rows = values.tolist()
     if labels is None:
-        row = ",".join(["{{!r}}"] * values.shape[1]) + "\r\n"
-    else:
-        row = "".join(f"{{0}},{_csvformat._escape(label)},{{{{!r}}}}\r\n" for label in labels)
-    _csvformat.write_rows(out, values.ravel(), values.shape[1], row)
-    return out.getvalue()
+        return "".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode()
+    return "".join(f"{r},{label},{v!r}\r\n" for r, row in enumerate(rows) for label, v in zip(labels, row)).encode()
 
 
 def _written(values, labels=None):
@@ -51,7 +48,7 @@ def test_the_edge_values_match_repr():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(0.0, 0.2))
 def test_random_bit_patterns_match_repr(seed, ncols, outside):
     # Bit patterns in the formatter's class, with either sign, and a share `outside` of any bits at all, so that
-    # formatted rows and template rows alternate.
+    # values in the class and values that take their repr share blocks and rows.
     gen = np.random.default_rng(seed)
     n = 64 * ncols
     bits = gen.integers(*FAST_BITS, size=n, dtype=np.uint64, endpoint=True) | gen.integers(0, 2, n, np.uint64) << 63

@@ -67,6 +67,12 @@ def test_params_store_python_floats_and_reject_bools():
             KernelParams(*bad, LEB)
 
 
+def test_params_reject_an_integer_too_large_for_a_float():
+    for name, bad in [("lambda", (10**400, 1.0)), ("sigma", (1.0, -(10**400)))]:
+        with pytest.raises(InvalidGeometryError, match=f"^{name} must fit in a float, got an integer of 1329 bits$"):
+            KernelParams(*bad, LEB)
+
+
 @pytest.mark.parametrize("measure", [LEB, MeasureSpec.axis((1.0, 2.0))], ids=["lebesgue", "axis"])
 def test_an_empty_corner_list_is_a_geometry_error_under_both_measures(measure):
     params = KernelParams(1.0, math.sqrt(2.0), measure)
